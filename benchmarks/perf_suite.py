@@ -1,11 +1,11 @@
 """Segment-timing perf suite for the training hot path.
 
 Times every layer this repository's hot-path work touched — im2col
-extraction, RPQ projection growth, the >62-bit Hitmap path, a full
-training step and a functional-sweep reference config — against the
-seed implementations that are kept in-tree as oracles, and emits a
-``BENCH_perf.json`` trajectory artifact so future PRs have a committed
-perf baseline to regress against.
+extraction, channel-group batching, the cache ride, a full training
+step, serving and a functional-sweep reference config — against the
+seed implementations kept as oracles in-tree or replayed here, and
+emits a ``BENCH_perf.json`` trajectory artifact so future PRs have a
+committed perf baseline to regress against.
 
 "Before" numbers replay the three seed behaviours kept in-tree as
 oracles — the dominant costs this overhaul removed:
@@ -13,23 +13,23 @@ oracles — the dominant costs this overhaul removed:
 * ``im2col_reference`` — the loop-filled extraction the strided rewrite
   replaced (still the differential oracle for ``im2col``);
 * ``seed_pack_bits`` — the object-dtype per-row packing loop that
-  >62-bit signatures used before the multi-word representation (which
-  also routes the Hitmap through the sequential object-array fallback,
-  exactly as the seed did);
+  >62-bit signatures used before the multi-word representation (its
+  object arrays reach the Hitmap through ``ints_to_words``, so only the
+  packing cost of the seed is replayed);
 * per-point paired baseline training — before baseline memoization
   shared one exact run per (model, scale, training config, seed) group;
 * per-channel-group engine calls — before `ReuseEngine.matmul_groups`
   batched them into one multi-group signature/group-by phase
-  (`batch_channel_groups=False` replays the per-call loop);
+  (``per_call_matmul_groups`` replays the per-call loop);
 * object-dtype Hitmap states — before the dense ``int8`` state codes,
   every classification materialised ``HitState`` enum arrays and every
   consumer scanned them with object compares (``seed_mode`` replays
   the materialisation and mask scans per classification);
 * the per-group masked cache ride — before the fused
   gather->GEMM->scatter ``ReuseSession.ride_groups`` assembled every
-  ``matmul_groups`` call in one pass (``MercuryConfig(fused_ride=
-  False)`` keeps the per-call oracle; the ``cache_ride`` segment times
-  the two assemblies head to head and asserts them bit-identical);
+  ``matmul_groups`` call in one pass (``ReuseSession.ride`` once per
+  group is the oracle; the ``cache_ride`` segment times the two
+  assemblies head to head and asserts them bit-identical);
 * cache-less serving — the serving segment replays one Zipfian trace
   without and with the cross-request exact cache;
 * single-backend serving — the sharded segment replays one saturating
@@ -71,6 +71,7 @@ perf-smoke gate.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import time
@@ -88,9 +89,7 @@ from repro.analysis.functional_sweep import (FunctionalPoint,
                                              mercury_config_for,
                                              run_functional_sweep,
                                              training_config_for)
-from repro.core.hitmap_sim import simulate_hitmap
 from repro.core.reuse import ReuseEngine
-from repro.core.rpq import RPQHasher, ints_to_words, pack_bits
 from repro.data.loaders import BatchLoader
 from repro.models.registry import build_model
 from repro.nn.im2col import im2col, im2col_reference
@@ -152,19 +151,26 @@ def _seed_object_states(simulation):
     return simulation
 
 
+def per_call_matmul_groups(self, vectors_groups, weights_groups, *,
+                           layer, phase="forward"):
+    """One engine call per channel group: the loop ``matmul_groups``
+    replaced with one multi-group signature phase."""
+    return [self.matmul(vectors, weights, layer=layer, phase=phase)
+            for vectors, weights in zip(vectors_groups, weights_groups)]
+
+
 @contextmanager
 def seed_mode():
     """Swap in the seed implementations kept as oracles.
 
     Besides the loop-filled im2col and the object-int ``pack_bits``,
-    this replays the behaviours later overhauls retired and keep
-    in-tree as oracles: one engine call per channel group (the loop
-    ``batch_channel_groups=False`` preserves, instead of the
+    this replays the behaviours later overhauls retired: one engine
+    call per channel group (``per_call_matmul_groups``, instead of the
     multi-group signature phase), object-dtype ``HitState`` arrays on
     every classification (``_seed_object_states``), and with them the
-    per-group masked cache ride (``ReuseSession.ride`` per call — the
-    oracle that ``MercuryConfig(fused_ride=False)`` keeps — instead of
-    the fused gather->GEMM->scatter ``ride_groups``)."""
+    per-group masked cache ride (``ReuseSession.ride`` per call — what
+    each per-call ``matmul`` runs — instead of the fused
+    gather->GEMM->scatter ``ride_groups``)."""
     from repro.core.session import ReuseSession
 
     original_im2col = conv_module.im2col
@@ -181,17 +187,11 @@ def seed_mode():
                 original_classify_groups(self, signature_groups,
                                          signature_bits)]
 
-    def seed_matmul_groups(self, vectors_groups, weights_groups, *,
-                           layer, phase="forward"):
-        return [self.matmul(vectors, weights, layer=layer, phase=phase)
-                for vectors, weights
-                in zip(vectors_groups, weights_groups)]
-
     conv_module.im2col = im2col_reference
     rpq_module.pack_bits = seed_pack_bits
     ReuseSession.classify = seed_classify
     ReuseSession.classify_groups = seed_classify_groups
-    ReuseEngine.matmul_groups = seed_matmul_groups
+    ReuseEngine.matmul_groups = per_call_matmul_groups
     try:
         yield
     finally:
@@ -231,47 +231,6 @@ def segment_im2col(quick: bool, repeats: int) -> dict:
     after = best_of(lambda: im2col(x, 3, 3, 1, 1), repeats)
     return _segment(before, after, input_shape=list(shape), kernel=3,
                     stride=1, pad=1)
-
-
-def segment_rpq_projection(quick: bool, repeats: int) -> dict:
-    """Growing 16 -> 64 signature bits on one batch: full reprojection
-    per step (seed) vs the incremental pipeline (new columns only)."""
-    num_vectors = 2048 if quick else 8192
-    # Vector length of a 3x3 conv patch over 32 channels.
-    vectors = np.random.default_rng(1).normal(size=(num_vectors, 288))
-    steps = list(range(16, 65, 8))
-
-    def full_reprojection():
-        hasher = RPQHasher(seed=9)
-        for bits in steps:
-            pack_bits((hasher.project(vectors, bits) >= 0.0).astype(np.uint8))
-
-    def incremental_pipeline():
-        pipeline = RPQHasher(seed=9).pipeline("bench")
-        for bits in steps:
-            pipeline.signatures(vectors, bits)
-
-    before = best_of(full_reprojection, repeats)
-    after = best_of(incremental_pipeline, repeats)
-    return _segment(before, after, num_vectors=num_vectors,
-                    growth_steps=steps)
-
-
-def segment_hitmap_multiword(quick: bool, repeats: int) -> dict:
-    """>62-bit Hitmap classification: the sequential object-int fallback
-    the seed dropped to vs the lexicographic multi-word group-by."""
-    num_probes = 5000 if quick else 20000
-    rng = np.random.default_rng(2)
-    pool = [(1 << 69) + int(v) for v in rng.integers(0, 400, size=400)]
-    trace_ints = np.array([pool[i] for i in
-                           rng.integers(0, len(pool), size=num_probes)],
-                          dtype=object)
-    trace_words = ints_to_words(trace_ints)
-    before = best_of(lambda: simulate_hitmap(trace_ints, num_sets=64,
-                                             ways=16), repeats)
-    after = best_of(lambda: simulate_hitmap(trace_words, num_sets=64,
-                                            ways=16), repeats)
-    return _segment(before, after, num_probes=num_probes, signature_bits=70)
 
 
 def _one_train_step(point: FunctionalPoint) -> float:
@@ -329,7 +288,7 @@ def segment_baseline_memoization(points) -> dict:
 
 def segment_conv_group_batching(quick: bool, repeats: int) -> dict:
     """Per-channel-group engine calls (`conv_channel_group=1`): one call
-    per group (seed, `batch_channel_groups=False`) vs the multi-group
+    per group (seed, `per_call_matmul_groups`) vs the multi-group
     signature/group-by phase (`ReuseEngine.matmul_groups`)."""
     from repro.core.config import MercuryConfig
     from repro.nn.layers.conv import Conv2D
@@ -340,8 +299,11 @@ def segment_conv_group_batching(quick: bool, repeats: int) -> dict:
 
     def run(batched: bool):
         engine = ReuseEngine(MercuryConfig(
-            batch_channel_groups=batched, conv_channel_group=1,
+            conv_channel_group=1,
             adaptive_signature_length=False, adaptive_stoppage=False))
+        if not batched:
+            engine.matmul_groups = functools.partial(per_call_matmul_groups,
+                                                     engine)
         conv = Conv2D(channels, 16, 3, padding=1, seed=1)
         conv.engine = engine
         conv.forward(x)
@@ -354,8 +316,7 @@ def segment_conv_group_batching(quick: bool, repeats: int) -> dict:
 
 def segment_cache_ride(quick: bool, repeats: int) -> dict:
     """Cache-ride assembly at conv-like group counts: per-group masked
-    GEMMs (`ReuseSession.ride` once per group — the oracle that
-    ``MercuryConfig(fused_ride=False)`` keeps) vs the fused
+    GEMMs (`ReuseSession.ride` once per group — the oracle) vs the fused
     gather->GEMM->scatter (`ReuseSession.ride_groups`: one miss gather,
     contiguous per-group GEMM slices, one scatter + HIT copy).  Both
     sides are asserted bit-identical before timing."""
@@ -645,8 +606,6 @@ def run_suite(quick: bool = False, repeats: int | None = None) -> dict:
 
     segments = {
         "im2col": segment_im2col(quick, repeats),
-        "rpq_projection_growth": segment_rpq_projection(quick, repeats),
-        "hitmap_multiword": segment_hitmap_multiword(quick, repeats),
         "train_step": segment_train_step(quick, repeats),
         "conv_group_batching": segment_conv_group_batching(quick, repeats),
         "cache_ride": segment_cache_ride(quick, repeats),

@@ -11,9 +11,9 @@ Two entry points:
 
 * :func:`scalar_reference_simulation` — build a
   :class:`~repro.core.hitmap_sim.HitmapSimulation` by probing a fresh
-  scalar cache once per signature.  This is what the reuse engine's
-  ``"scalar"`` backend runs, and what the differential suite compares
-  the vectorized backends against.
+  scalar cache once per signature.  The differential suite compares
+  the production Hitmap paths (the batch MCACHE and the group-by
+  simulations) against it.
 * :func:`run_differential` — replay a trace in (possibly ragged) chunks
   against persistent scalar and vectorized caches, optionally exercising
   the data phase (VD bits, versions) and flash invalidation, and return

@@ -17,8 +17,10 @@ model) using numpy group-by operations:
 Signatures arrive either as a 1-D ``int64`` array or — beyond 62 bits —
 as the multi-word ``(n_vectors, n_words)`` ``uint64`` representation
 (:mod:`repro.core.rpq`); the multi-word path groups by lexicographic
-row sort and stays fully vectorised.  Object arrays of exact Python
-ints are still accepted and run through the sequential reference.
+row sort and stays fully vectorised.  Arrays whose values do not fit
+int64 exactly (object arrays of Python ints, uint64 values >= 2^63)
+are converted to the multi-word form first, as the batch MCACHE does;
+values that are not exact non-negative integers are rejected.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from repro.core.hitmap import (CODE_TO_STATE, HIT_CODE, Hitmap, MAU_CODE,
                                MNU_CODE)
-from repro.core.rpq import coerce_packed, unique_signatures, words_mod
+from repro.core.rpq import packed_signatures, unique_signatures, words_mod
 
 
 @dataclass
@@ -112,14 +114,8 @@ def simulate_hitmap(signatures: np.ndarray, num_sets: int,
                                 representative=np.empty(0, dtype=np.int64),
                                 hits=0, mau=0, mnu=0, unique_signatures=0)
 
-    signatures, wide = coerce_packed(signatures)
-    if signatures.ndim == 2:
-        return _simulate_vectorised(signatures.astype(np.uint64, copy=False),
-                                    num_sets, ways)
-    if wide:
-        # 1-D object array of exact ints: the sequential reference.
-        return _simulate_sequential(signatures, num_sets, ways)
-    return _simulate_vectorised(signatures, num_sets, ways)
+    return _simulate_vectorised(packed_signatures(signatures), num_sets,
+                                ways)
 
 
 def _classify_uniques(unique_sets: np.ndarray, first_index: np.ndarray,
@@ -229,12 +225,7 @@ def simulate_hitmap_grouped(signatures, group_sizes, num_sets: int,
 
     starts = np.concatenate([[0], np.cumsum(group_sizes)]).astype(np.int64)
 
-    signatures, wide = coerce_packed(signatures)
-    if wide and signatures.ndim == 1:
-        # Object array of exact ints: per-group sequential reference.
-        return [_simulate_sequential(signatures[starts[g]:starts[g + 1]],
-                                     num_sets, ways)
-                for g in range(len(group_sizes))]
+    signatures = packed_signatures(signatures)
     if signatures.ndim == 1 and num_vectors and (signatures < 0).any():
         # Negative signatures have no unsigned composite representation;
         # per-group classification is still exact.
@@ -306,44 +297,3 @@ def simulate_hitmap_grouped(signatures, group_sizes, num_sets: int,
             mnu=int(mnu_per_group[group]),
             unique_signatures=int(unique_per_group[group])))
     return simulations
-
-
-def _simulate_sequential(signatures: np.ndarray, num_sets: int,
-                         ways: int) -> HitmapSimulation:
-    """Reference implementation used for object arrays of exact ints."""
-    num_vectors = len(signatures)
-    states = np.empty(num_vectors, dtype=np.int8)
-    representative = np.arange(num_vectors, dtype=np.int64)
-
-    set_occupancy: dict[int, int] = {}
-    owner_of_signature: dict[int, int] = {}
-    rejected: set[int] = set()
-    hits = mau = mnu = 0
-
-    for index in range(num_vectors):
-        signature = int(signatures[index])
-        if signature in owner_of_signature:
-            states[index] = HIT_CODE
-            representative[index] = owner_of_signature[signature]
-            hits += 1
-            continue
-        if signature in rejected:
-            states[index] = MNU_CODE
-            mnu += 1
-            continue
-        set_index = signature % num_sets
-        occupancy = set_occupancy.get(set_index, 0)
-        if occupancy < ways:
-            set_occupancy[set_index] = occupancy + 1
-            owner_of_signature[signature] = index
-            states[index] = MAU_CODE
-            mau += 1
-        else:
-            rejected.add(signature)
-            states[index] = MNU_CODE
-            mnu += 1
-
-    unique = len(owner_of_signature) + len(rejected)
-    return HitmapSimulation(states=states, representative=representative,
-                            hits=hits, mau=mau, mnu=mnu,
-                            unique_signatures=unique)

@@ -49,7 +49,7 @@ from repro.core.hitmap import CODE_TO_STATE, HIT_CODE, HitState
 from repro.core.hitmap_sim import (HitmapSimulation, rank_within_groups,
                                    signature_sets, simulate_hitmap)
 from repro.core.mcache import MCacheStats
-from repro.core.rpq import (coerce_packed, ints_to_words, pad_words,
+from repro.core.rpq import (coerce_packed, packed_signatures, pad_words,
                             signature_words, unique_signatures)
 
 
@@ -114,15 +114,10 @@ class VectorizedMCache:
         time a batch needs it; afterwards int64 batches are widened on
         the fly so mixed traces keep comparing by full value.
         """
-        arr, wide = coerce_packed(signatures)
-        if arr.ndim > 2:
-            raise ValueError("signatures must be one-dimensional "
-                             "or multi-word (n_vectors, n_words)")
-        if wide:
-            words = arr.astype(np.uint64, copy=False) if arr.ndim == 2 \
-                else ints_to_words(arr)
-            self._enter_words_mode(words.shape[1])
-            return pad_words(words, self._tag_words.shape[2])
+        arr = packed_signatures(signatures)
+        if arr.ndim == 2:
+            self._enter_words_mode(arr.shape[1])
+            return pad_words(arr, self._tag_words.shape[2])
         if self._tag_words is not None:
             # int64 batch while wide signatures are resident: widen.
             # (Negative signatures — a floor-mod edge the int64 path

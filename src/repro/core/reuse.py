@@ -83,9 +83,8 @@ class ReuseEngine:
         # matching the hardware's per-channel flush.  The serving
         # engines build on the same ReuseSession in persistent mode, so
         # the two cannot drift.  ``session.mcache`` is the one batch
-        # MCACHE behind the "vectorized" backend — one persistent
-        # instance so its access counters characterise the whole run
-        # (Figure 15a).
+        # MCACHE every Hitmap is classified on — one persistent instance
+        # so its access counters characterise the whole run (Figure 15a).
         self.session = ReuseSession(
             SessionPolicy(signature_bits=self.config.signature_bits,
                           entries=self.config.mcache_entries,
@@ -93,7 +92,6 @@ class ReuseEngine:
                           exact_check=False,
                           rpq_seed=self.config.rpq_seed),
             hasher=self.hasher, persistent=False,
-            backend=self.config.mcache_backend,
             versions=self.config.mcache_versions)
         self.mcache = self.session.mcache
         # Last Hitmap simulation per (layer, phase), exposed for tests
@@ -128,25 +126,12 @@ class ReuseEngine:
                                                  num_vectors)
             if record is not None:
                 return record.signatures, True
-        # The pure hasher path: every batch reaching the engine is a
-        # freshly extracted array hashed exactly once (cross-phase reuse
-        # is the SignatureTable reload above, the paper's §III-C2
-        # mechanism), so the identity-keyed SignaturePipeline cache
-        # could never hit here — it would only add a fingerprint pass
-        # and a staleness hazard for callers that mutate arrays in
-        # place.  Growth sweeps that re-hash one held batch opt in via
-        # ``self.hasher.pipeline(key)``.
+        # Every batch reaching the engine is a freshly extracted array
+        # hashed exactly once; cross-phase reuse is the SignatureTable
+        # reload above (the paper's §III-C2 mechanism), so there is no
+        # per-batch projection cache to consult.
         signatures = self.hasher.signatures(vectors, self.signature_bits)
         return signatures, False
-
-    def _build_hitmap(self, signatures: np.ndarray) -> HitmapSimulation:
-        """Simulate the MCACHE signature phase for every vector (Figure 9).
-
-        Delegates to the flash-mode :class:`ReuseSession`, the single
-        home of the backend dispatch (all three backends stay
-        bit-identical — the differential suite asserts it).
-        """
-        return self.session.classify(signatures)
 
     # ------------------------------------------------------------------
     def matmul(self, vectors: np.ndarray, weights: np.ndarray, *,
@@ -172,7 +157,7 @@ class ReuseEngine:
             return result
 
         signatures, reloaded = self._signatures_for(vectors, layer, phase)
-        simulation = self._build_hitmap(signatures)
+        simulation = self.session.classify(signatures)
         result = ReuseSession.ride(vectors, weights, simulation)
 
         if phase == "forward":
@@ -244,16 +229,17 @@ class ReuseEngine:
         signature_groups = [self.hasher.signatures(vectors,
                                                    self.signature_bits)
                             for vectors in groups]
-        simulations = self._build_hitmaps_grouped(signature_groups)
+        simulations = self.session.classify_groups(signature_groups,
+                                                   self.signature_bits)
 
         # The fused ride assembles all groups through one gather → block
         # GEMM → scatter; it needs one shared (length, filters) shape
         # (a ragged tail group — in_channels not divisible — falls back
-        # to the per-group masked ride, which is the oracle anyway).
+        # to the per-group masked ride).
         uniform = all(
             weights.shape == weights_list[0].shape
             for weights in weights_list[1:])
-        if self.config.fused_ride and uniform:
+        if uniform:
             results = ReuseSession.ride_groups(groups, weights_list,
                                                simulations)
         else:
@@ -280,11 +266,6 @@ class ReuseEngine:
                          unique=simulation.unique_signatures,
                          detection_on=True, signatures_reloaded=False)
         return results
-
-    def _build_hitmaps_grouped(self, signature_groups) -> list[HitmapSimulation]:
-        """One Hitmap per group, via the session's multi-group phase."""
-        return self.session.classify_groups(signature_groups,
-                                            self.signature_bits)
 
     # ------------------------------------------------------------------
     def _record(self, layer: str, phase: str, *, vectors: int, hits: int,

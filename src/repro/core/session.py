@@ -12,8 +12,7 @@ implementation, instantiated in one of two modes:
   :meth:`classify` call sees a freshly-cleared MCACHE, so similarity is
   exploited only *within* one batch (the paper's per-layer flush).  The
   engine drives the two phases separately — :meth:`classify` builds the
-  Hitmap through the configured backend, :meth:`ride` performs the
-  compute-misses/copy-hits assembly;
+  Hitmap, :meth:`ride` performs the compute-misses/copy-hits assembly;
 * **persistent** (``persistent=True``) — the serving semantics: cache
   state survives across :meth:`serve` calls, entries age by micro-batch
   (:attr:`SessionPolicy.ttl_batches`), hits may be payload-verified
@@ -49,11 +48,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.differential import scalar_reference_simulation
 from repro.core.eviction import EVICTION_POLICIES, build_eviction_state
 from repro.core.hitmap import HIT_CODE, MAU_CODE, MNU_CODE
 from repro.core.hitmap_sim import (HitmapSimulation, signature_sets,
-                                   simulate_hitmap, simulate_hitmap_grouped)
+                                   simulate_hitmap_grouped)
 from repro.core.mcache_vec import VectorizedMCache
 from repro.core.rpq import RPQHasher, unique_signatures
 
@@ -221,12 +219,10 @@ class ReuseSession:
     """
 
     def __init__(self, policy: SessionPolicy, hasher: RPQHasher | None = None,
-                 *, persistent: bool = True, backend: str = "vectorized",
-                 versions: int = 1):
+                 *, persistent: bool = True, versions: int = 1):
         self.policy = policy
         self.hasher = hasher or RPQHasher(seed=policy.rpq_seed)
         self.persistent = persistent
-        self.backend = backend
         self.mcache = VectorizedMCache(entries=policy.entries,
                                        ways=policy.ways, versions=versions)
         self.num_sets = self.mcache.num_sets
@@ -269,36 +265,22 @@ class ReuseSession:
     def classify(self, signatures) -> HitmapSimulation:
         """Simulate the MCACHE signature phase for one batch (Figure 9).
 
-        The three backends are bit-identical (the differential suite
-        asserts it); they differ only in speed and in what they model:
-        ``vectorized`` probes the persistent batch MCACHE, ``groupby``
-        runs the stateless numpy simulation and ``scalar`` replays the
-        line-level oracle one probe at a time.
+        The batch probes a freshly-cleared MCACHE — one flash clear,
+        counted in :attr:`clears`; access counters accumulate in
+        ``self.mcache.stats`` across calls.
         """
-        if self.backend == "vectorized":
-            return self.mcache.simulate(signatures)
-        if self.backend == "scalar":
-            return scalar_reference_simulation(signatures,
-                                               num_sets=self.num_sets,
-                                               ways=self.policy.ways)
-        return simulate_hitmap(signatures, num_sets=self.num_sets,
-                               ways=self.policy.ways)
+        self.clears += 1
+        return self.mcache.simulate(signatures)
 
     def classify_groups(self, signature_groups,
                         signature_bits: int) -> list[HitmapSimulation]:
-        """One Hitmap per group, through the configured backend.
+        """One Hitmap per group, each against its own fresh MCACHE.
 
-        The vectorized and groupby backends share the multi-group
-        group-by; the scalar oracle replays its line-level model per
-        group.  All backends stay bit-identical to per-call simulation.
-        Each group sees a fresh MCACHE: signatures never match, and
-        never steal ways, across groups.
+        Equal to one :meth:`classify` call per group — states, counters
+        and flash clears alike — but the group-by runs once over the
+        whole call: signatures never match, and never steal ways,
+        across groups.
         """
-        if self.backend == "scalar":
-            return [scalar_reference_simulation(signatures,
-                                                num_sets=self.num_sets,
-                                                ways=self.policy.ways)
-                    for signatures in signature_groups]
         # One signature length is in force for the whole call, so the
         # groups share a packed representation: all 1-D int64 or all
         # multi-word 2-D with the same word count.
@@ -310,16 +292,15 @@ class ReuseSession:
             stacked, [len(sigs) for sigs in signature_groups],
             num_sets=self.num_sets, ways=self.policy.ways,
             signature_bits=signature_bits)
-        if self.backend == "vectorized":
-            # The persistent batch MCACHE's simulate() path is "clear,
-            # replay, accumulate counters"; mirror it so its stats
-            # characterise the run identically.
-            self.clears += 1
-            self.mcache.clear()
-            for simulation in simulations:
-                self.mcache.stats.hits += simulation.hits
-                self.mcache.stats.mau += simulation.mau
-                self.mcache.stats.mnu += simulation.mnu
+        # Mirror the per-call path's "clear, replay, accumulate
+        # counters" so the batch MCACHE's stats characterise the run
+        # identically.
+        self.clears += len(simulations)
+        self.mcache.clear()
+        for simulation in simulations:
+            self.mcache.stats.hits += simulation.hits
+            self.mcache.stats.mau += simulation.mau
+            self.mcache.stats.mnu += simulation.mnu
         return simulations
 
     @staticmethod

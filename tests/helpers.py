@@ -4,6 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.config import MercuryConfig
+from repro.core.differential import scalar_reference_simulation
+from repro.core.hitmap_sim import HitmapSimulation
+from repro.core.reuse import ReuseEngine
+from repro.core.session import ReuseSession
+
 
 def numerical_gradient(func, array: np.ndarray, epsilon: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a scalar function w.r.t. ``array``.
@@ -31,3 +37,49 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     denom = np.maximum(np.abs(a) + np.abs(b), 1e-8)
     return float(np.max(np.abs(a - b) / denom))
+
+
+# ----------------------------------------------------------------------
+# Reuse-engine oracles
+# ----------------------------------------------------------------------
+class PerCallEngine(ReuseEngine):
+    """The per-call oracle for :meth:`ReuseEngine.matmul_groups`.
+
+    Services every channel group with its own :meth:`matmul` call — its
+    own hash, fresh-MCACHE classification and masked ride — which the
+    batched multi-group phase must reproduce bit for bit.
+    """
+
+    def matmul_groups(self, vectors_groups, weights_groups, *, layer: str,
+                      phase: str = "forward") -> list[np.ndarray]:
+        return [self.matmul(vectors, weights, layer=layer, phase=phase)
+                for vectors, weights in zip(vectors_groups, weights_groups)]
+
+
+class ScalarSession(ReuseSession):
+    """Flash session whose Hitmaps come from the line-level scalar MCACHE."""
+
+    def classify(self, signatures) -> HitmapSimulation:
+        self.clears += 1
+        return scalar_reference_simulation(signatures,
+                                           num_sets=self.num_sets,
+                                           ways=self.policy.ways)
+
+
+class ScalarOracleEngine(PerCallEngine):
+    """The per-call engine classifying every batch on the scalar oracle."""
+
+    def __init__(self, config: MercuryConfig | None = None):
+        super().__init__(config)
+        self.session = ScalarSession(self.session.policy, hasher=self.hasher,
+                                     persistent=False,
+                                     versions=self.config.mcache_versions)
+        self.mcache = self.session.mcache
+
+
+def masked_ride_groups(vectors_groups, weights_groups,
+                       simulations) -> list[np.ndarray]:
+    """The masked-ride oracle for :meth:`ReuseSession.ride_groups`."""
+    return [ReuseSession.ride(vectors, weights, simulation)
+            for vectors, weights, simulation
+            in zip(vectors_groups, weights_groups, simulations)]

@@ -6,15 +6,15 @@ user-facing view (``HitmapSimulation.state_objects()`` /
 ``.to_hitmap()``) and inside the scalar ``MCache``/``Hitmap`` oracle.
 These suites pin the coded representation to that oracle:
 
-* classification codes are bit-identical across all three session
-  backends and equal to an enum-by-enum scalar ``MCache`` replay,
-  including >62-bit multi-word signatures;
+* the session's classification codes, and the scalar oracle's, equal
+  an enum-by-enum scalar ``MCache`` replay, including >62-bit
+  multi-word signatures;
 * the serving probe paths (``_probe_and_admit`` with the frequency gate,
   ``_probe_and_admit_evicting`` with a replacement policy) emit int8
   codes whose semantics match a scalar mirror replay;
 * the fused gather->GEMM->scatter ``ride_groups`` is bit-identical to
   the per-call masked ``ride`` oracle, directly and engine-to-engine
-  via ``MercuryConfig(fused_ride=...)``;
+  (``tests.helpers.masked_ride_groups`` swapped in for the oracle run);
 * ``words_to_ints`` (the exact-Python-int expansion) never runs on the
   engine path — only the scalar/differential oracle may call it;
 * ``_prune_seen``'s argpartition selection matches the old
@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import MercuryConfig
+from repro.core.differential import scalar_reference_simulation
 from repro.core.hitmap import CODE_TO_STATE, HIT_CODE, MAU_CODE, MNU_CODE
 from repro.core.hitmap_sim import simulate_hitmap, simulate_hitmap_grouped
 from repro.core.mcache import MCache
@@ -36,8 +37,7 @@ from repro.core.reuse import ReuseEngine
 from repro.core.rpq import ints_to_words, unique_signatures
 from repro.core.session import ReuseSession, SessionPolicy
 from repro.nn.layers.conv import Conv2D
-
-BACKENDS = ("vectorized", "groupby", "scalar")
+from tests.helpers import masked_ride_groups
 
 
 def _enum_oracle_codes(trace, entries: int, ways: int) -> list[int]:
@@ -53,7 +53,7 @@ def _enum_oracle_codes(trace, entries: int, ways: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Classification: three backends vs the enum oracle
+# Classification: the session and the scalar oracle vs the enum oracle
 # ---------------------------------------------------------------------------
 class TestCodedClassification:
     @given(st.integers(0, 2 ** 31), st.integers(1, 400),
@@ -64,11 +64,11 @@ class TestCodedClassification:
         rng = np.random.default_rng(seed)
         trace = rng.choice(rng.integers(0, 1 << 20, size=pool), size=num)
         expected = _enum_oracle_codes(trace, entries, ways)
-        policy = SessionPolicy(entries=entries, ways=ways)
-        for backend in BACKENDS:
-            session = ReuseSession(policy, persistent=False,
-                                   backend=backend)
-            sim = session.classify(trace)
+        session = ReuseSession(SessionPolicy(entries=entries, ways=ways),
+                               persistent=False)
+        for sim in (session.classify(trace),
+                    scalar_reference_simulation(
+                        trace, num_sets=session.num_sets, ways=ways)):
             assert sim.states.dtype == np.int8
             assert list(sim.states) == expected
             # The enum view survives as a derived representation.
@@ -83,11 +83,11 @@ class TestCodedClassification:
         words = ints_to_words(np.array(values, dtype=object), num_words=2)
         expected = _enum_oracle_codes(
             np.array(values, dtype=object), entries=16, ways=4)
-        policy = SessionPolicy(entries=16, ways=4)
-        for backend in BACKENDS:
-            session = ReuseSession(policy, persistent=False,
-                                   backend=backend)
-            sim = session.classify(words)
+        session = ReuseSession(SessionPolicy(entries=16, ways=4),
+                               persistent=False)
+        for sim in (session.classify(words),
+                    scalar_reference_simulation(
+                        words, num_sets=session.num_sets, ways=4)):
             assert sim.states.dtype == np.int8
             assert list(sim.states) == expected
 
@@ -220,20 +220,24 @@ class TestFusedRide:
 
     @pytest.mark.parametrize("channel_group,in_channels",
                              [(1, 6), (2, 6), (3, 7)])
-    def test_engine_fused_flag_bit_identity(self, rng, channel_group,
-                                            in_channels):
-        """``fused_ride=True`` output equals the per-group masked oracle."""
-        base = dict(adaptive_signature_length=False,
-                    adaptive_stoppage=False, batch_channel_groups=True,
-                    conv_channel_group=channel_group, mcache_entries=64,
-                    mcache_ways=4)
+    def test_engine_fused_flag_bit_identity(self, rng, monkeypatch,
+                                            channel_group, in_channels):
+        """The engine's fused ride equals the per-group masked oracle."""
+        config = MercuryConfig(adaptive_signature_length=False,
+                               adaptive_stoppage=False,
+                               conv_channel_group=channel_group,
+                               mcache_entries=64, mcache_ways=4)
         x = rng.normal(size=(3, in_channels, 10, 10))
         outputs = {}
         for fused in (False, True):
-            engine = ReuseEngine(MercuryConfig(fused_ride=fused, **base))
-            conv = Conv2D(in_channels, 5, 3, padding=1, seed=11)
-            conv.engine = engine
-            outputs[fused] = conv.forward(x)
+            with monkeypatch.context() as patch:
+                if not fused:
+                    patch.setattr(ReuseSession, "ride_groups",
+                                  staticmethod(masked_ride_groups))
+                engine = ReuseEngine(config)
+                conv = Conv2D(in_channels, 5, 3, padding=1, seed=11)
+                conv.engine = engine
+                outputs[fused] = conv.forward(x)
             stats = engine.mcache.stats
             outputs[fused, "stats"] = (stats.hits, stats.mau, stats.mnu)
         np.testing.assert_array_equal(outputs[False], outputs[True])
@@ -260,9 +264,7 @@ class TestWordsToInts:
                 expected = (expected << WORD_BITS) | int(word)
             assert value == expected and isinstance(value, int)
 
-    @pytest.mark.parametrize("backend", ["vectorized", "groupby"])
-    def test_engine_path_never_expands_python_ints(self, monkeypatch,
-                                                   backend, rng):
+    def test_engine_path_never_expands_python_ints(self, monkeypatch, rng):
         """Only the scalar/differential oracle may pay the big-int cost."""
         import repro.core.rpq as rpq
 
@@ -270,11 +272,11 @@ class TestWordsToInts:
             raise AssertionError("words_to_ints reached the engine path")
 
         monkeypatch.setattr(rpq, "words_to_ints", forbidden)
-        # Multi-word classification through the session backends...
+        # Multi-word classification through the session...
         values = [(1 << 70) + int(v) for v in rng.integers(0, 8, size=40)]
         words = ints_to_words(np.array(values, dtype=object), num_words=2)
         session = ReuseSession(SessionPolicy(entries=16, ways=4),
-                               persistent=False, backend=backend)
+                               persistent=False)
         sim = session.classify(words)
         assert sim.states.dtype == np.int8
         # ... and a full >62-bit engine matmul, fused ride included.

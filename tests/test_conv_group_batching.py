@@ -1,11 +1,11 @@
 """Bit-identity of the batched multi-group channel path.
 
-The reuse engine services `conv_channel_group` calls either one engine
-call per group (the seed behaviour, kept as the oracle via
-``MercuryConfig(batch_channel_groups=False)``) or as one multi-group
-signature/group-by phase (`ReuseEngine.matmul_groups`).  These tests
-assert the two are bit-identical: outputs, per-layer statistics,
-signature-table state and MCACHE counters.
+The reuse engine services `conv_channel_group` calls as one multi-group
+signature/group-by phase (`ReuseEngine.matmul_groups`).  The oracle is
+one engine call per group (the seed behaviour, kept as
+``tests.helpers.PerCallEngine``).  These tests assert the two are
+bit-identical: outputs, per-layer statistics, signature-table state and
+MCACHE counters.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from repro.core.reuse import ReuseEngine
 from repro.core.rpq import ints_to_words
 from repro.models.registry import build_model
 from repro.nn.layers.conv import Conv2D
+from tests.helpers import PerCallEngine, ScalarOracleEngine
 
 
 def _assert_simulations_equal(left, right):
@@ -101,8 +102,8 @@ def _paired_engines(**config_overrides):
     base = dict(adaptive_signature_length=False, adaptive_stoppage=False,
                 conv_channel_group=1, mcache_entries=64, mcache_ways=4)
     base.update(config_overrides)
-    oracle = ReuseEngine(MercuryConfig(batch_channel_groups=False, **base))
-    batched = ReuseEngine(MercuryConfig(batch_channel_groups=True, **base))
+    oracle = PerCallEngine(MercuryConfig(**base))
+    batched = ReuseEngine(MercuryConfig(**base))
     return oracle, batched
 
 
@@ -118,6 +119,7 @@ def test_conv_forward_bit_identity(rng, channel_group, in_channels):
         outputs[engine] = conv.forward(x)
     np.testing.assert_array_equal(outputs[oracle], outputs[batched])
     assert _stats_snapshot(oracle) == _stats_snapshot(batched)
+    assert oracle.session.clears == batched.session.clears
     assert (oracle.mcache.stats.hits, oracle.mcache.stats.mau,
             oracle.mcache.stats.mnu) == (batched.mcache.stats.hits,
                                          batched.mcache.stats.mau,
@@ -132,10 +134,11 @@ def test_conv_forward_bit_identity(rng, channel_group, in_channels):
     assert left.vector_length == right.vector_length
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "groupby", "scalar"])
-def test_backends_bit_identical_under_batching(rng, backend):
-    oracle, batched = _paired_engines(mcache_backend=backend,
-                                      conv_channel_group=2)
+def test_scalar_oracle_bit_identical_under_batching(rng):
+    """Batched groups equal per-call groups classified on the scalar
+    line-level MCACHE."""
+    _, batched = _paired_engines(conv_channel_group=2)
+    oracle = ScalarOracleEngine(batched.config)
     x = rng.normal(size=(2, 6, 8, 8))
     outputs = {}
     for engine in (oracle, batched):
@@ -180,9 +183,9 @@ def test_full_model_training_step_bit_identity(rng):
     x = rng.normal(size=(4, 3, 12, 12))
     y = rng.integers(0, 3, size=4)
     results = {}
-    for flag in (False, True):
-        engine = ReuseEngine(MercuryConfig(
-            batch_channel_groups=flag, conv_channel_group=1,
+    for batched in (False, True):
+        engine = (ReuseEngine if batched else PerCallEngine)(MercuryConfig(
+            conv_channel_group=1,
             adaptive_signature_length=False, adaptive_stoppage=False,
             mcache_entries=256, mcache_ways=8))
         model = build_model("squeezenet", num_classes=3, seed=2)
@@ -193,8 +196,8 @@ def test_full_model_training_step_bit_identity(rng):
         model.zero_grad()
         model.backward(loss_fn.backward())
         grads = np.concatenate([p.grad.ravel() for p in model.parameters()])
-        results[flag] = (logits, float(loss), grads,
-                         _stats_snapshot(engine))
+        results[batched] = (logits, float(loss), grads,
+                            _stats_snapshot(engine))
     np.testing.assert_array_equal(results[False][0], results[True][0])
     assert results[False][1] == results[True][1]
     np.testing.assert_array_equal(results[False][2], results[True][2])
@@ -215,3 +218,17 @@ def test_matmul_groups_backward_falls_back(rng):
                for v, w in zip(vectors, weights)]
     for left, right in zip(grouped, singles):
         np.testing.assert_array_equal(left, right)
+
+
+def test_flash_clears_count_one_per_fresh_mcache(rng):
+    """Three per-call classifications plus one 2-group call probe five
+    fresh MCACHEs, so the session reports five flash clears."""
+    engine = ReuseEngine(MercuryConfig(adaptive_signature_length=False,
+                                       adaptive_stoppage=False))
+    for _ in range(3):
+        engine.matmul(rng.normal(size=(6, 5)), rng.normal(size=(5, 3)),
+                      layer="L")
+    engine.matmul_groups([rng.normal(size=(6, 5)) for _ in range(2)],
+                         [rng.normal(size=(5, 3)) for _ in range(2)],
+                         layer="G")
+    assert engine.session.clears == 5

@@ -2,9 +2,10 @@
 
 The scalar :class:`~repro.core.mcache.MCache` is the reference model;
 every test replays a trace through it and through
-:class:`~repro.core.mcache_vec.VectorizedMCache` (or through the three
-``ReuseEngine`` backends) and requires bit-identical Hitmap states,
-representatives, entry ids, stats counters and data-phase contents.
+:class:`~repro.core.mcache_vec.VectorizedMCache` (or through
+``ReuseEngine`` against the scalar-oracle engine) and requires
+bit-identical Hitmap states, representatives, entry ids, stats counters
+and data-phase contents.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from repro.core.differential import run_differential, \
 from repro.core.hitmap_sim import simulate_hitmap
 from repro.core.mcache_vec import VectorizedMCache
 from repro.core.reuse import ReuseEngine
+from tests.helpers import ScalarOracleEngine
 
 GEOMETRIES = [(8, 1, 1), (8, 2, 1), (16, 4, 2), (64, 16, 1), (4, 4, 3)]
 
@@ -123,7 +125,7 @@ def test_report_flags_real_divergence():
 
 
 # ----------------------------------------------------------------------
-# ReuseEngine backends
+# ReuseEngine against the scalar oracle
 # ----------------------------------------------------------------------
 def _clustered_vectors(rng, num_vectors=60, length=9, clusters=12):
     centers = rng.normal(size=(clusters, length))
@@ -132,24 +134,21 @@ def _clustered_vectors(rng, num_vectors=60, length=9, clusters=12):
 
 
 def test_reuse_engine_backends_are_bit_identical(rng, mercury_config_grid):
+    """The engine equals the engine classifying on the scalar oracle."""
     vectors = _clustered_vectors(rng)
     weights = rng.normal(size=(vectors.shape[1], 6))
-    outputs = {}
-    records = {}
-    for backend in ("vectorized", "groupby", "scalar"):
-        engine = ReuseEngine(mercury_config_grid.replace(
-            mcache_backend=backend))
-        outputs[backend] = engine.matmul(vectors, weights, layer="conv",
-                                         phase="forward")
-        records[backend] = engine.stats.get("conv", "forward")
-    np.testing.assert_array_equal(outputs["vectorized"], outputs["groupby"])
-    np.testing.assert_array_equal(outputs["vectorized"], outputs["scalar"])
-    reference = records["scalar"]
-    for backend in ("vectorized", "groupby"):
-        record = records[backend]
-        assert (record.hits, record.mau, record.mnu) == \
-            (reference.hits, reference.mau, reference.mnu)
-        assert record.unique_signatures == reference.unique_signatures
+    outputs = []
+    records = []
+    for engine in (ReuseEngine(mercury_config_grid),
+                   ScalarOracleEngine(mercury_config_grid)):
+        outputs.append(engine.matmul(vectors, weights, layer="conv",
+                                     phase="forward"))
+        records.append(engine.stats.get("conv", "forward"))
+    np.testing.assert_array_equal(outputs[0], outputs[1])
+    record, reference = records
+    assert (record.hits, record.mau, record.mnu) == \
+        (reference.hits, reference.mau, reference.mnu)
+    assert record.unique_signatures == reference.unique_signatures
 
 
 def test_vectorized_backend_accumulates_mcache_stats(rng):
@@ -175,12 +174,10 @@ def test_backends_identical_with_wide_signatures(rng):
                            adaptive_signature_length=False)
     vectors = _clustered_vectors(rng, num_vectors=30)
     weights = rng.normal(size=(vectors.shape[1], 3))
-    results = []
-    for backend in ("vectorized", "groupby", "scalar"):
-        engine = ReuseEngine(config.replace(mcache_backend=backend))
-        results.append(engine.matmul(vectors, weights, layer="l"))
+    results = [engine.matmul(vectors, weights, layer="l")
+               for engine in (ReuseEngine(config),
+                              ScalarOracleEngine(config))]
     np.testing.assert_array_equal(results[0], results[1])
-    np.testing.assert_array_equal(results[0], results[2])
 
 
 def test_groupby_simulation_still_matches_oracle(make_trace):

@@ -2,28 +2,30 @@
 
 Signatures longer than 62 bits pack into ``(n_vectors, n_words)``
 ``uint64`` rows (:mod:`repro.core.rpq`).  These tests drive that
-representation through every Hitmap backend — the stateless group-by
-simulation, the persistent batch MCACHE and the line-level scalar
-oracle — and assert bit-identity throughout, then smoke a real training
-run whose signature length crosses the multi-word boundary.
+representation through every Hitmap path — the stateless group-by
+simulation, the persistent batch MCACHE and the engine — against the
+line-level scalar oracle and assert bit-identity throughout, then smoke
+a real training run whose signature length crosses the multi-word
+boundary.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import MercuryConfig
 from repro.core.differential import run_differential, \
     scalar_reference_simulation
 from repro.core.hitmap import CODE_TO_STATE
-from repro.core.hitmap_sim import simulate_hitmap
+from repro.core.hitmap_sim import simulate_hitmap, simulate_hitmap_grouped
 from repro.core.mcache_vec import VectorizedMCache
 from repro.core.reuse import ReuseEngine
 from repro.core.rpq import (RPQHasher, ints_to_words, signature_words,
                             signatures_to_ints, words_mod)
+from tests.helpers import ScalarOracleEngine
 
 GEOMETRIES = [(8, 1), (8, 2), (16, 4), (64, 16), (4, 4)]
 
@@ -41,25 +43,42 @@ def wide_trace(draw_values, picks):
 @given(values=st.lists(wide_values, min_size=1, max_size=25),
        picks=st.lists(st.integers(0, 10_000), min_size=1, max_size=80),
        geometry=st.sampled_from(GEOMETRIES))
+@example(values=[(1 << 63) + 7, (1 << 64) - 1, 5, (1 << 90) + 3],
+         picks=[0, 1, 0, 2, 3, 1, 0, 2, 3, 3], geometry=(8, 2))
 def test_multiword_simulations_match_oracle(values, picks, geometry):
-    """Fresh-cache Hitmaps agree across all three backends."""
+    """Fresh-cache Hitmaps of both production paths equal the oracle's,
+    for multi-word rows and for the object ints (mostly >= 2^63) they
+    encode."""
     entries, ways = geometry
+    num_sets = entries // ways
     trace_ints = wide_trace(values, picks)
     trace_words = ints_to_words(trace_ints)
 
-    oracle = scalar_reference_simulation(trace_ints,
-                                         num_sets=entries // ways, ways=ways)
-    groupby = simulate_hitmap(trace_words, num_sets=entries // ways,
-                              ways=ways)
+    oracle = scalar_reference_simulation(trace_ints, num_sets=num_sets,
+                                         ways=ways)
+    groupby = simulate_hitmap(trace_words, num_sets=num_sets, ways=ways)
     vectorized = VectorizedMCache(entries=entries, ways=ways).simulate(
         trace_words)
 
-    for simulation in (groupby, vectorized):
-        assert list(simulation.states) == list(oracle.states)
-        assert list(simulation.representative) == list(oracle.representative)
-        assert (simulation.hits, simulation.mau, simulation.mnu,
-                simulation.unique_signatures) == \
-            (oracle.hits, oracle.mau, oracle.mnu, oracle.unique_signatures)
+    objects = simulate_hitmap(trace_ints, num_sets=num_sets, ways=ways)
+    for simulation in (groupby, vectorized, objects):
+        assert_matches_oracle(simulation, oracle)
+    half = len(trace_ints) // 2
+    grouped = simulate_hitmap_grouped(
+        trace_ints, [half, len(trace_ints) - half], num_sets=num_sets,
+        ways=ways)
+    for simulation, part in zip(grouped, (trace_ints[:half],
+                                          trace_ints[half:])):
+        assert_matches_oracle(simulation, scalar_reference_simulation(
+            part, num_sets=num_sets, ways=ways))
+
+
+def assert_matches_oracle(simulation, oracle):
+    assert list(simulation.states) == list(oracle.states)
+    assert list(simulation.representative) == list(oracle.representative)
+    assert (simulation.hits, simulation.mau, simulation.mnu,
+            simulation.unique_signatures) == \
+        (oracle.hits, oracle.mau, oracle.mnu, oracle.unique_signatures)
 
 
 @settings(deadline=None)
@@ -133,6 +152,12 @@ def test_non_integral_float_signatures_are_rejected():
     cache = VectorizedMCache(entries=8, ways=2)
     with pytest.raises(ValueError, match="not an exact integer"):
         cache.lookup_or_insert_batch(np.array([0.5, 0.0]))
+    # The group-by simulations refuse the same batch.
+    with pytest.raises(ValueError, match="not an exact integer"):
+        simulate_hitmap(np.array([0.5, 0.0]), num_sets=4, ways=2)
+    with pytest.raises(ValueError, match="not an exact integer"):
+        simulate_hitmap_grouped(np.array([0.5, 0.0]), [1, 1], num_sets=4,
+                                ways=2)
     # Exactly-integral floats are accepted (they round-trip).
     states, _ = cache.lookup_or_insert_batch(np.array([3.0, 3.0]))
     assert [CODE_TO_STATE[s].value for s in states] == ["MAU", "HIT"]
@@ -258,23 +283,20 @@ def test_reuse_engine_backends_identical_at_96_bits(rng):
     picks = rng.integers(0, 10, size=50)
     vectors = centers[picks] + rng.normal(0, 1e-9, size=(50, 9))
     weights = rng.normal(size=(9, 4))
-    outputs = {}
-    for backend in ("vectorized", "groupby", "scalar"):
-        engine = ReuseEngine(config.replace(mcache_backend=backend))
-        outputs[backend] = engine.matmul(vectors, weights, layer="conv")
+    outputs = []
+    for engine in (ReuseEngine(config), ScalarOracleEngine(config)):
+        outputs.append(engine.matmul(vectors, weights, layer="conv"))
         record = engine.stats.get("conv", "forward")
         assert record.hits > 0          # wide signatures still find reuse
-    np.testing.assert_array_equal(outputs["vectorized"], outputs["groupby"])
-    np.testing.assert_array_equal(outputs["vectorized"], outputs["scalar"])
+    np.testing.assert_array_equal(outputs[0], outputs[1])
 
 
-@pytest.mark.parametrize("backend", ["vectorized", "groupby", "scalar"])
-def test_functional_training_smoke_beyond_62_bits(backend):
+def test_functional_training_smoke_beyond_62_bits():
     """A real (tiny) training run at a 70-bit signature length."""
     from repro.analysis.functional_sweep import (FunctionalPoint,
                                                  evaluate_functional_point)
     point = FunctionalPoint(model="squeezenet", signature_bits=70,
-                            mcache_backend=backend, epochs=1, seed=0)
+                            epochs=1, seed=0)
     row = evaluate_functional_point(point)
     assert row["final_signature_bits"] >= 70
     assert np.isfinite(row["reuse_final_loss"])
@@ -283,15 +305,16 @@ def test_functional_training_smoke_beyond_62_bits(backend):
 
 
 def test_functional_backends_bit_identical_beyond_62_bits():
-    """The three backends train bit-identically at 70 bits end to end."""
+    """The engine trains bit-identically to the scalar oracle at 70 bits."""
     from repro.analysis.functional_sweep import (FunctionalPoint,
-                                                 evaluate_functional_point)
-    rows = {}
-    for backend in ("vectorized", "scalar"):
-        point = FunctionalPoint(model="squeezenet", signature_bits=70,
-                                mcache_backend=backend, epochs=1, seed=1)
-        rows[backend] = evaluate_functional_point(point)
-    assert rows["vectorized"]["reuse_losses"] == rows["scalar"]["reuse_losses"]
-    assert rows["vectorized"]["reuse_accuracy"] == \
-        rows["scalar"]["reuse_accuracy"]
-    assert rows["vectorized"]["hit_fraction"] == rows["scalar"]["hit_fraction"]
+                                                 mercury_config_for,
+                                                 train_point)
+    point = FunctionalPoint(model="squeezenet", signature_bits=70,
+                            epochs=1, seed=1)
+    runs = []
+    for engine in (ReuseEngine(mercury_config_for(point)),
+                   ScalarOracleEngine(mercury_config_for(point))):
+        result, _ = train_point(point, engine)
+        runs.append((result.epoch_losses, result.final_validation_accuracy,
+                     engine.stats.overall_hit_fraction))
+    assert runs[0] == runs[1]

@@ -343,6 +343,32 @@ class TestTrainingTelemetry:
         assert registry.gauge("repro_reuse_signature_bits",
                               phase="training") == 16
 
+    def test_dense_only_training_counts_flash_clears(self):
+        """Every per-call classification flash-clears the MCACHE, so a
+        model with no channel-grouped layer still reports clears."""
+        import numpy as np
+
+        from repro import MercuryConfig, ReuseEngine
+        from repro.nn import Linear, ReLU, Sequential
+        from repro.obs.bus import EventBus
+        from repro.training.trainer import Trainer, TrainingConfig
+
+        rng = np.random.default_rng(0)
+        inputs = rng.normal(size=(24, 10))
+        labels = rng.integers(0, 3, size=24)
+        model = Sequential(Linear(10, 8, seed=0), ReLU(),
+                           Linear(8, 3, seed=1))
+        bus = EventBus()
+        epochs = bus.subscribe(kinds=["training.epoch"])
+        trainer = Trainer(model, TrainingConfig(epochs=2, batch_size=6),
+                          engine=ReuseEngine(MercuryConfig(
+                              signature_bits=16, adaptive_stoppage=False)),
+                          bus=bus)
+        trainer.fit(inputs, labels)
+        events = epochs.drain()
+        assert len(events) == 2
+        assert all(event.payload["flash_clears"] > 0 for event in events)
+
     def test_trainer_without_a_bus_emits_nothing(self):
         from repro.training.trainer import Trainer, TrainingConfig
         from repro.nn import Linear, Sequential

@@ -175,7 +175,7 @@ def test_run_suite_artifact_contract():
     from benchmarks.perf_suite import run_suite
     payload = run_suite(quick=True, repeats=1)
     assert payload["schema"] == SCHEMA
-    expected = {"im2col", "rpq_projection_growth", "hitmap_multiword",
+    expected = {"im2col",
                 "train_step", "conv_group_batching", "cache_ride",
                 "serving_reuse",
                 "serving_sharded", "serving_tiered", "serving_parallel",
