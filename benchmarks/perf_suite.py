@@ -182,10 +182,9 @@ def seed_mode():
     def seed_classify(self, signatures):
         return _seed_object_states(original_classify(self, signatures))
 
-    def seed_classify_groups(self, signature_groups, signature_bits):
+    def seed_classify_groups(self, signature_groups):
         return [_seed_object_states(simulation) for simulation in
-                original_classify_groups(self, signature_groups,
-                                         signature_bits)]
+                original_classify_groups(self, signature_groups)]
 
     conv_module.im2col = im2col_reference
     rpq_module.pack_bits = seed_pack_bits

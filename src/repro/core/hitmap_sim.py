@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.hitmap import (CODE_TO_STATE, HIT_CODE, Hitmap, MAU_CODE,
                                MNU_CODE)
-from repro.core.rpq import packed_signatures, unique_signatures, words_mod
+from repro.core.rpq import packed_signatures, words_mod
 
 
 @dataclass
@@ -65,25 +65,6 @@ class HitmapSimulation:
         return hitmap
 
 
-def rank_within_groups(sorted_keys: np.ndarray) -> np.ndarray:
-    """Rank of each element within its run of equal, pre-sorted keys.
-
-    ``sorted_keys`` must be grouped (equal values adjacent); the result
-    counts 0, 1, 2, ... within each run.  Shared by the stateless
-    group-by simulation below and the batch MCACHE's insert competition
-    (:mod:`repro.core.mcache_vec`) so the two stay structurally, not
-    just observably, identical.
-    """
-    num_keys = len(sorted_keys)
-    if num_keys == 0:
-        return np.empty(0, dtype=np.int64)
-    new_group = np.ones(num_keys, dtype=bool)
-    new_group[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    group_starts = np.flatnonzero(new_group)
-    group_ids = np.cumsum(new_group) - 1
-    return np.arange(num_keys) - group_starts[group_ids]
-
-
 def signature_sets(unique_values: np.ndarray, num_sets: int) -> np.ndarray:
     """Cache-set index per unique signature, for either representation."""
     if unique_values.ndim == 2:
@@ -95,6 +76,8 @@ def simulate_hitmap(signatures: np.ndarray, num_sets: int,
                     ways: int) -> HitmapSimulation:
     """Classify every signature as HIT, MAU or MNU.
 
+    The one-group case of :func:`simulate_hitmap_grouped`.
+
     Parameters
     ----------
     signatures:
@@ -104,196 +87,187 @@ def simulate_hitmap(signatures: np.ndarray, num_sets: int,
         MCACHE geometry; insertion into a set stops once ``ways``
         distinct signatures have claimed its lines.
     """
-    if num_sets <= 0 or ways <= 0:
-        raise ValueError("num_sets and ways must be positive")
     signatures = np.asarray(signatures)
-    num_vectors = len(signatures)
-
-    if num_vectors == 0:
-        return HitmapSimulation(states=np.empty(0, dtype=np.int8),
-                                representative=np.empty(0, dtype=np.int64),
-                                hits=0, mau=0, mnu=0, unique_signatures=0)
-
-    return _simulate_vectorised(packed_signatures(signatures), num_sets,
-                                ways)
+    return simulate_hitmap_grouped(signatures, [len(signatures)], num_sets,
+                                   ways)[0]
 
 
-def _classify_uniques(unique_sets: np.ndarray, first_index: np.ndarray,
-                      inverse: np.ndarray, num_vectors: int,
-                      ways: int) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                          np.ndarray]:
-    """Shared classification core given a group-by of the batch.
+def _sorted_pairs(major: np.ndarray, minor: np.ndarray,
+                  minor_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sort ``(major, minor)`` pairs with one in-place int64 value sort.
 
-    ``unique_sets`` names the cache set competed for by each unique
-    signature (callers may offset it to model independent caches — the
-    multi-group path); returns ``(hit_mask, mau_mask, mnu_mask,
-    representative)`` over the ``num_vectors`` probes.
+    The caller guarantees ``major < 2^(63 - minor_bits)`` and
+    ``0 <= minor < 2^minor_bits``, and hands over both arrays: they are
+    overwritten with the sorted columns and returned.
     """
-    # Decide which unique signatures win a cache line: order them by
-    # first occurrence and admit the first `ways` per set.  The
-    # (set, arrival) order usually fuses into one integer key — one
-    # unstable argsort (keys are distinct) instead of two stable ones.
-    num_uniques = len(unique_sets)
-    inserted_unique = np.empty(num_uniques, dtype=bool)
-    max_set = int(unique_sets.max()) if num_uniques else 0
-    if max_set < (2 ** 62) // max(num_vectors, 1):
-        order = np.argsort(unique_sets.astype(np.int64) * num_vectors
-                           + first_index)
-        rank_within_set = rank_within_groups(unique_sets[order])
-        inserted_unique[order] = rank_within_set < ways
-    else:  # pragma: no cover — needs ~2^62 composite sets
-        arrival_order = np.argsort(first_index, kind="stable")
-        sets_in_arrival = unique_sets[arrival_order]
-        by_set = np.argsort(sets_in_arrival, kind="stable")
-        rank_within_set = rank_within_groups(sets_in_arrival[by_set])
-        inserted_in_arrival = np.empty(num_uniques, dtype=bool)
-        inserted_in_arrival[by_set] = rank_within_set < ways
-        inserted_unique[arrival_order] = inserted_in_arrival
-
-    is_first = np.zeros(num_vectors, dtype=bool)
-    is_first[first_index] = True
-    vector_inserted = inserted_unique[inverse]
-
-    hit_mask = vector_inserted & ~is_first
-    mau_mask = vector_inserted & is_first
-    mnu_mask = ~vector_inserted
-
-    representative = np.arange(num_vectors, dtype=np.int64)
-    representative[hit_mask] = first_index[inverse[hit_mask]]
-    return hit_mask, mau_mask, mnu_mask, representative
+    major <<= minor_bits
+    major |= minor
+    major.sort()
+    np.bitwise_and(major, (1 << minor_bits) - 1, out=minor)
+    major >>= minor_bits
+    return major, minor
 
 
-def _masks_to_codes(hit_mask: np.ndarray,
-                    mau_mask: np.ndarray) -> np.ndarray:
-    codes = np.full(len(hit_mask), MNU_CODE, dtype=np.int8)
-    codes[hit_mask] = HIT_CODE
-    codes[mau_mask] = MAU_CODE
-    return codes
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    run_starts = np.empty(len(sorted_keys), dtype=bool)
+    run_starts[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=run_starts[1:])
+    return run_starts
 
 
-def _simulate_vectorised(signatures: np.ndarray, num_sets: int,
-                         ways: int) -> HitmapSimulation:
-    """numpy group-by implementation for either packed representation."""
-    num_vectors = len(signatures)
-    unique_values, first_index, inverse = unique_signatures(signatures)
-    unique_sets = signature_sets(unique_values, num_sets)
-    hit_mask, mau_mask, mnu_mask, representative = _classify_uniques(
-        unique_sets, first_index, inverse, num_vectors, ways)
+def tagged_runs(signatures: np.ndarray, groups: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Stable (group, signature) order of the rows from one value sort.
 
-    return HitmapSimulation(states=_masks_to_codes(hit_mask, mau_mask),
-                            representative=representative,
-                            hits=int(hit_mask.sum()), mau=int(mau_mask.sum()),
-                            mnu=int(mnu_mask.sum()),
-                            unique_signatures=len(unique_values))
+    Packs ``((group << bits | signature) << index_bits) | arrival_index``
+    into one int64 per row: sorting the keys orders rows by (group,
+    signature) with ties in arrival order, and the low bits carry that
+    stable permutation.  Returns ``(order, run_starts)`` — ``run_starts``
+    marks each row of ``order`` that opens a run of equal keys, i.e. a
+    first occurrence — or ``None`` when the key does not fit 63 bits
+    (multi-word, negative or too-wide signatures).
+    """
+    if signatures.ndim != 1 or signatures.min(initial=0) < 0:
+        return None
+    signature_bits = int(signatures.max(initial=0)).bit_length()
+    index_bits = max(len(signatures) - 1, 0).bit_length()
+    if (int(groups.max(initial=0)).bit_length() + signature_bits
+            + index_bits > 63):
+        return None
+    keys = groups << signature_bits
+    keys |= signatures
+    keys, order = _sorted_pairs(keys, np.arange(len(signatures)), index_bits)
+    return order, _run_starts(keys)
+
+
+def stable_runs(signatures: np.ndarray, groups: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """The same ``(order, run_starts)`` from a stable lexicographic sort.
+
+    Serves every key :func:`tagged_runs` cannot pack: multi-word rows
+    (word columns most-significant first) and negative or wide 1-D
+    signatures.
+    """
+    columns = [groups] + (list(signatures.T) if signatures.ndim == 2
+                          else [signatures])
+    order = np.lexsort(columns[::-1])
+    run_starts = _run_starts(groups[order])
+    for column in columns[1:]:
+        sorted_column = column[order]
+        run_starts[1:] |= sorted_column[1:] != sorted_column[:-1]
+    return order, run_starts
+
+
+def classify_runs(signatures: np.ndarray, groups: np.ndarray,
+                  order: np.ndarray, run_starts: np.ndarray, num_groups: int,
+                  num_sets: int, ways: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shared classifier core over a stable (group, signature) order.
+
+    Returns ``(states, representative, counts)``: int8 codes and global
+    representative rows in arrival order, and per group the row counts
+    indexed by state code plus the unique count in column 3.
+    """
+    num_vectors = len(order)
+    run_heads = run_starts.nonzero()[0]
+    first = order[run_heads]
+    run_lengths = np.append(run_heads[1:], num_vectors) - run_heads
+    unique_groups = groups[first]
+    # The cache set is derived from the signature alone, then offset
+    # per group so groups never share a set: per-group fresh-MCACHE
+    # semantics inside one sort.
+    unique_sets = (unique_groups * num_sets
+                   + signature_sets(signatures[first], num_sets))
+    # The first `ways` uniques to arrive in a set win its lines (a
+    # second value sort, over the uniques only); the rest are MNU —
+    # no replacement (Figure 9).
+    index_bits = max(num_vectors - 1, 0).bit_length()
+    if int(unique_sets.max(initial=0)).bit_length() + index_bits <= 63:
+        sorted_sets, sorted_first = _sorted_pairs(unique_sets, first.copy(),
+                                                  index_bits)
+    else:  # pragma: no cover — needs ~2^63 / num_vectors composite sets
+        by_set = np.lexsort((first, unique_sets))
+        sorted_sets, sorted_first = unique_sets[by_set], first[by_set]
+    # Sorted, so a unique ranks below `ways` in its set exactly when the
+    # unique `ways` places earlier belongs to another set.
+    admitted = np.ones(len(sorted_sets), dtype=bool)
+    np.not_equal(sorted_sets[ways:], sorted_sets[:-ways],
+                 out=admitted[ways:])
+    owner = np.zeros(num_vectors, dtype=bool)
+    owner[sorted_first] = admitted
+    inserted = owner[first]
+
+    # Codes and representatives in sorted order, then one scatter each:
+    # an inserted run is a MAU head plus HITs on it, a rejected run MNU.
+    codes = np.repeat(np.where(inserted, np.int8(HIT_CODE),
+                               np.int8(MNU_CODE)), run_lengths)
+    codes[run_heads] = np.where(inserted, np.int8(MAU_CODE),
+                                np.int8(MNU_CODE))
+    source = np.repeat(first, run_lengths)
+    np.copyto(source, order, where=codes == MNU_CODE)
+    states = np.empty(num_vectors, dtype=np.int8)
+    states[order] = codes
+    representative = np.empty(num_vectors, dtype=np.int64)
+    representative[order] = source
+
+    # Per group and outcome (rejected, inserted): uniques and rows.
+    outcome = 2 * unique_groups + inserted
+    uniques = np.bincount(outcome, minlength=2 * num_groups).reshape(-1, 2)
+    rows = np.bincount(outcome, weights=run_lengths,
+                       minlength=2 * num_groups).reshape(-1, 2)
+    counts = np.empty((num_groups, 4), dtype=np.int64)
+    counts[:, HIT_CODE] = rows[:, 1] - uniques[:, 1]
+    counts[:, MAU_CODE] = uniques[:, 1]
+    counts[:, MNU_CODE] = rows[:, 0]
+    counts[:, 3] = uniques.sum(axis=1)
+    return states, representative, counts
 
 
 def simulate_hitmap_grouped(signatures, group_sizes, num_sets: int,
-                            ways: int,
-                            signature_bits: int | None = None
-                            ) -> list[HitmapSimulation]:
+                            ways: int) -> list[HitmapSimulation]:
     """Per-group Hitmaps for a concatenation of signature batches.
 
-    Bit-identical to calling :func:`simulate_hitmap` once per group —
-    each group is classified against its own fresh MCACHE — but the
-    group-by runs once over the whole concatenation: group ``g``'s
-    signatures compete only for composite sets ``g * num_sets + set``,
-    so no signature can hit, or steal a way from, another group.  This
-    is the batched signature phase behind the reuse engine's
-    ``conv_channel_group`` path, where per-call overhead used to
-    dominate (one engine call per input channel).
+    Bit-identical to classifying each group against its own fresh
+    MCACHE, but the group-by runs once over the whole concatenation:
+    group ``g``'s signatures compete only for composite sets
+    ``g * num_sets + set``, so no signature can hit, or steal a way
+    from, another group.  This is the batched signature phase behind
+    the reuse engine's ``conv_channel_group`` path, where per-call
+    overhead used to dominate (one engine call per input channel).
 
     ``signatures`` holds the groups back to back in arrival order (1-D
     int64 or the multi-word 2-D form); ``group_sizes`` their lengths.
     Representative indices in each returned simulation are local to the
-    group, exactly as the per-call path produces them.
-
-    ``signature_bits``, when the caller knows every signature fits that
-    many bits, lets the composite (group, signature) key fuse into one
-    int64 — a single ``np.unique`` sort instead of a two-column
-    lexicographic sort, the difference between this path beating and
-    trailing the per-call loop at high group counts.
+    group.  The stable order comes from one tagged int64 value sort
+    whenever the key fits (:func:`tagged_runs`), else from a stable
+    lexicographic sort (:func:`stable_runs`); the classification after
+    it is shared.
     """
     if num_sets <= 0 or ways <= 0:
         raise ValueError("num_sets and ways must be positive")
-    group_sizes = [int(size) for size in group_sizes]
-    if any(size < 0 for size in group_sizes):
+    sizes = np.array([int(size) for size in group_sizes], dtype=np.int64)
+    if (sizes < 0).any():
         raise ValueError("group sizes must be non-negative")
-    signatures = np.asarray(signatures)
-    num_vectors = len(signatures)
-    if sum(group_sizes) != num_vectors:
+    signatures = packed_signatures(signatures)
+    if sizes.sum() != len(signatures):
         raise ValueError("group sizes must sum to the number of signatures")
 
-    starts = np.concatenate([[0], np.cumsum(group_sizes)]).astype(np.int64)
-
-    signatures = packed_signatures(signatures)
-    if signatures.ndim == 1 and num_vectors and (signatures < 0).any():
-        # Negative signatures have no unsigned composite representation;
-        # per-group classification is still exact.
-        return [simulate_hitmap(signatures[starts[g]:starts[g + 1]],
-                                num_sets, ways)
-                for g in range(len(group_sizes))]
-
-    num_groups = len(group_sizes)
-    fused_bits = None
-    if (signatures.ndim == 1 and signature_bits is not None
-            and signature_bits + max(num_groups - 1, 0).bit_length() <= 62
-            and (num_vectors == 0
-                 or int(signatures.max()) < (1 << signature_bits))):
-        fused_bits = int(signature_bits)
-
-    if fused_bits is not None:
-        # Fused single-key path: (group << bits) | signature is unique
-        # per (group, signature) pair and sorts group-major, so one
-        # int64 np.unique replaces the two-column lexsort.
-        group_ids = np.repeat(np.arange(num_groups, dtype=np.int64),
-                              group_sizes)
-        fused = (group_ids << fused_bits) | signatures
-        unique_values, first_index, inverse = unique_signatures(fused)
-        unique_groups = unique_values >> fused_bits
-        unique_sets = signature_sets(
-            unique_values & ((np.int64(1) << fused_bits) - 1), num_sets)
-    else:
-        group_ids = np.repeat(np.arange(num_groups, dtype=np.uint64),
-                              group_sizes)
-        if signatures.ndim == 2:
-            composite = np.hstack([group_ids[:, None],
-                                   signatures.astype(np.uint64, copy=False)])
-        else:
-            composite = np.stack([group_ids,
-                                  signatures.astype(np.uint64)], axis=1)
-        unique_values, first_index, inverse = unique_signatures(composite)
-        unique_groups = unique_values[:, 0].astype(np.int64)
-        unique_sets = signature_sets(
-            unique_values[:, 1] if unique_values.shape[1] == 2
-            else unique_values[:, 1:], num_sets)
-    # The cache set is derived from the signature alone (exactly the
-    # single-group rule), then offset per group so groups never share a
-    # set: per-group fresh-MCACHE semantics inside one group-by.
-    composite_sets = unique_groups * num_sets + unique_sets
-
-    hit_mask, mau_mask, mnu_mask, representative = _classify_uniques(
-        composite_sets, first_index, inverse, num_vectors, ways)
-    states = _masks_to_codes(hit_mask, mau_mask)
-    unique_per_group = np.bincount(unique_groups,
-                                   minlength=len(group_sizes))
-    # Per-group state counts in three bincounts over the row group ids
-    # instead of three slice reductions per group.
-    row_groups = group_ids.astype(np.int64, copy=False)
-    hits_per_group = np.bincount(row_groups[hit_mask],
-                                 minlength=num_groups)
-    mau_per_group = np.bincount(row_groups[mau_mask],
-                                minlength=num_groups)
-    mnu_per_group = np.bincount(row_groups[mnu_mask],
-                                minlength=num_groups)
+    num_groups = len(sizes)
+    groups = np.repeat(np.arange(num_groups, dtype=np.int64), sizes)
+    runs = tagged_runs(signatures, groups)
+    if runs is None:
+        runs = stable_runs(signatures, groups)
+    states, representative, counts = classify_runs(
+        signatures, groups, *runs, num_groups, num_sets, ways)
 
     simulations = []
-    for group in range(len(group_sizes)):
-        lo, hi = starts[group], starts[group + 1]
+    lo = 0
+    for size, (hits, mau, mnu, unique) in zip(sizes.tolist(),
+                                              counts.tolist()):
+        local = representative[lo:lo + size]
+        local -= lo
         simulations.append(HitmapSimulation(
-            states=states[lo:hi],
-            representative=representative[lo:hi] - lo,
-            hits=int(hits_per_group[group]),
-            mau=int(mau_per_group[group]),
-            mnu=int(mnu_per_group[group]),
-            unique_signatures=int(unique_per_group[group])))
+            states=states[lo:lo + size], representative=local, hits=hits,
+            mau=mau, mnu=mnu, unique_signatures=unique))
+        lo += size
     return simulations

@@ -46,11 +46,28 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.hitmap import CODE_TO_STATE, HIT_CODE, HitState
-from repro.core.hitmap_sim import (HitmapSimulation, rank_within_groups,
-                                   signature_sets, simulate_hitmap)
+from repro.core.hitmap_sim import (HitmapSimulation, signature_sets,
+                                   simulate_hitmap)
 from repro.core.mcache import MCacheStats
 from repro.core.rpq import (coerce_packed, packed_signatures, pad_words,
                             signature_words, unique_signatures)
+
+
+def rank_within_groups(sorted_keys: np.ndarray) -> np.ndarray:
+    """Rank of each element within its run of equal, pre-sorted keys.
+
+    ``sorted_keys`` must be grouped (equal values adjacent); the result
+    counts 0, 1, 2, ... within each run — the way a batch insert lands
+    in, past the set's current occupancy.
+    """
+    num_keys = len(sorted_keys)
+    if num_keys == 0:
+        return np.empty(0, dtype=np.int64)
+    new_group = np.ones(num_keys, dtype=bool)
+    new_group[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    group_starts = np.flatnonzero(new_group)
+    group_ids = np.cumsum(new_group) - 1
+    return np.arange(num_keys) - group_starts[group_ids]
 
 
 class VectorizedMCache:

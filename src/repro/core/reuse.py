@@ -229,8 +229,7 @@ class ReuseEngine:
         signature_groups = [self.hasher.signatures(vectors,
                                                    self.signature_bits)
                             for vectors in groups]
-        simulations = self.session.classify_groups(signature_groups,
-                                                   self.signature_bits)
+        simulations = self.session.classify_groups(signature_groups)
 
         # The fused ride assembles all groups through one gather → block
         # GEMM → scatter; it needs one shared (length, filters) shape

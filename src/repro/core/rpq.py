@@ -63,14 +63,22 @@ def is_multiword(signatures: np.ndarray) -> bool:
 _BIT_WEIGHTS = (np.uint64(1) << np.arange(WORD_BITS - 1, -1, -1,
                                           dtype=np.uint64))
 
+# Widest signature packed by a float64 GEMV: every partial sum of
+# distinct powers of two below 2^53 is exact in float64, so BLAS packs
+# bit-identically to the integer matvec.
+FLOAT_PACK_BITS = 53
+
 _FAST_PACK_WEIGHTS: dict[int, np.ndarray] = {}
 
 
 def _fast_pack_weights(n_bits: int) -> np.ndarray:
-    """Cached MSB-first power-of-two weights for the int64 pack path."""
+    """Cached MSB-first power-of-two weights for the int64 pack path:
+    float64 up to ``FLOAT_PACK_BITS`` bits, int64 beyond."""
     weights = _FAST_PACK_WEIGHTS.get(n_bits)
     if weights is None:
         weights = (1 << np.arange(n_bits - 1, -1, -1, dtype=np.int64))
+        if n_bits <= FLOAT_PACK_BITS:
+            weights = weights.astype(np.float64)
         _FAST_PACK_WEIGHTS[n_bits] = weights
     return weights
 
@@ -120,10 +128,11 @@ def pack_bits(bits: np.ndarray) -> np.ndarray:
     n_vectors, n_bits = bits.shape
 
     if n_bits <= FAST_PACK_BITS:
-        # Fast vectorised path for the common case: an integer matvec,
-        # with the weight vector cached per bit count.
+        # Fast vectorised path for the common case: a matvec against
+        # the cached weights (a BLAS GEMV up to FLOAT_PACK_BITS bits).
         weights = _fast_pack_weights(n_bits)
-        return bits.astype(np.int64, copy=False) @ weights
+        packed = bits.astype(weights.dtype, copy=False) @ weights
+        return packed.astype(np.int64, copy=False)
     return pack_bits_words(bits)
 
 
@@ -231,19 +240,29 @@ def coerce_packed(signatures) -> tuple[np.ndarray, bool]:
 def packed_signatures(signatures) -> np.ndarray:
     """1-D ``int64`` or multi-word ``uint64`` form of any accepted batch.
 
-    Wide 1-D batches go through :func:`ints_to_words`, which rejects
-    anything that is not an exact non-negative integer (a float ``0.5``
-    must not truncate into signature ``0``).
+    Anything that is not an exact non-negative integer is rejected
+    (a float ``0.5`` must not truncate into signature ``0``, nor a
+    ``-1`` word wrap to ``2^64 - 1``): wide 1-D batches through
+    :func:`ints_to_words`, non-``uint64`` 2-D batches by a round trip.
     """
     arr, wide = coerce_packed(signatures)
     if arr.ndim > 2:
         raise ValueError("signatures must be one-dimensional "
                          "or multi-word (n_vectors, n_words)")
-    if not wide:
+    if not wide or arr.dtype == np.uint64:
         return arr
     if arr.ndim == 1:
         return ints_to_words(arr)
-    return arr.astype(np.uint64, copy=False)
+    try:
+        with np.errstate(invalid="ignore"):
+            words = arr.astype(np.uint64)
+        exact = np.array_equal(words.astype(object), arr.astype(object))
+    except (OverflowError, TypeError, ValueError):
+        exact = False
+    if not exact:
+        raise ValueError("multi-word signatures must be exact "
+                         "non-negative integers below 2^64")
+    return words
 
 
 def signatures_to_ints(signatures) -> np.ndarray:
@@ -400,7 +419,8 @@ class RPQHasher:
 
     def signatures(self, vectors: np.ndarray, signature_bits: int) -> np.ndarray:
         """Return one packed integer signature per row of ``vectors``."""
-        return pack_bits(self.signature_bits_matrix(vectors, signature_bits))
+        # Packing reads the boolean sign matrix directly: no uint8 copy.
+        return pack_bits(self.project(vectors, signature_bits) >= 0.0)
 
     # ------------------------------------------------------------------
     def similarity_fraction(self, vectors: np.ndarray,

@@ -272,8 +272,7 @@ class ReuseSession:
         self.clears += 1
         return self.mcache.simulate(signatures)
 
-    def classify_groups(self, signature_groups,
-                        signature_bits: int) -> list[HitmapSimulation]:
+    def classify_groups(self, signature_groups) -> list[HitmapSimulation]:
         """One Hitmap per group, each against its own fresh MCACHE.
 
         Equal to one :meth:`classify` call per group — states, counters
@@ -290,8 +289,7 @@ class ReuseSession:
             stacked = np.concatenate(signature_groups)
         simulations = simulate_hitmap_grouped(
             stacked, [len(sigs) for sigs in signature_groups],
-            num_sets=self.num_sets, ways=self.policy.ways,
-            signature_bits=signature_bits)
+            num_sets=self.num_sets, ways=self.policy.ways)
         # Mirror the per-call path's "clear, replay, accumulate
         # counters" so the batch MCACHE's stats characterise the run
         # identically.
@@ -327,18 +325,18 @@ class ReuseSession:
         """Fused cache ride over many channel groups at once.
 
         Bit-identical to calling :meth:`ride` once per group, but the
-        assembly runs as one gather → block GEMM → scatter over the
-        whole ``matmul_groups`` call: one miss-row gather across all
-        groups into a contiguous buffer, one GEMM per group on a
-        contiguous slice of it (the per-group ``(misses, length) @
-        (length, filters)`` shapes — and therefore the BLAS reduction
-        order and every output bit — match the per-call path exactly),
-        and one row-map gather to assemble the output.  The scatter and
-        the HIT-row copy collapse into that last gather: an int64 map
-        sends every row to its row in the computed block — misses to
-        their own GEMM row, HITs to their representative's (a MAU row,
-        so always computed) — and ``computed[map]`` materialises the
-        whole result in one pass.  Fixing up the map moves 8 bytes per
+        assembly runs as gather → block GEMM → scatter over the whole
+        ``matmul_groups`` call: per group, one ``np.take`` of its miss
+        rows and one GEMM into a contiguous slice of a shared computed
+        block (the per-group ``(misses, length) @ (length, filters)``
+        shapes — and therefore the BLAS reduction order and every output
+        bit — match the per-call path exactly), then one row-map gather
+        to assemble the output.  The scatter and the HIT-row copy
+        collapse into that last gather: an int64 map sends every row to
+        its row in the computed block — misses to their own GEMM row,
+        HITs to their representative's (a MAU row, so always computed)
+        — and ``np.take(computed, map, axis=0)`` materialises the whole
+        result in one pass.  Fixing up the map moves 8 bytes per
         HIT row where the per-call path copies a full result row, which
         is where the fused speedup comes from at conv-like group
         counts.
@@ -354,7 +352,6 @@ class ReuseSession:
         starts = np.zeros(num_groups + 1, dtype=np.int64)
         np.cumsum(counts, out=starts[1:])
         total = int(starts[-1])
-        length = weights_groups[0].shape[0]
         num_filters = weights_groups[0].shape[1]
 
         if not any(simulation.hits for simulation in simulations):
@@ -364,37 +361,31 @@ class ReuseSession:
 
         codes = np.concatenate([simulation.states
                                 for simulation in simulations])
-        miss_mask = codes != HIT_CODE
-        # Row map: each miss row points at its own slot in the computed
-        # block (its rank among the misses).
-        row_map = np.cumsum(miss_mask, dtype=np.int64)
-        row_map -= 1
-        miss_idx = np.flatnonzero(miss_mask)
+        miss_idx = np.flatnonzero(codes != HIT_CODE)
         # miss_idx ascends, so each group's misses form one contiguous
-        # segment [seg[g], seg[g+1]) of the gathered buffer.
+        # segment [seg[g], seg[g+1]) of the computed block.
         seg = np.searchsorted(miss_idx, starts)
-        gathered = np.empty((len(miss_idx), length), dtype=np.float64)
         computed = np.empty((len(miss_idx), num_filters), dtype=np.float64)
         for group in range(num_groups):
             lo, hi = int(seg[group]), int(seg[group + 1])
             if lo == hi:
                 continue
-            np.take(vectors_groups[group], miss_idx[lo:hi] - starts[group],
-                    axis=0, out=gathered[lo:hi])
-            np.matmul(gathered[lo:hi], weights_groups[group],
-                      out=computed[lo:hi])
+            # np.take without out=: with mode="raise" numpy buffers
+            # any out= argument, an extra copy of every miss row.
+            np.matmul(np.take(vectors_groups[group],
+                              miss_idx[lo:hi] - starts[group], axis=0),
+                      weights_groups[group], out=computed[lo:hi])
 
-        # Representatives are group-local; offset them to the
-        # concatenated frame.  A HIT's representative is always a MAU
-        # row — a miss — so its map entry is already final, and HIT
-        # rows simply inherit it.
-        hit_mask = ~miss_mask
-        offsets = np.repeat(starts[:-1], counts)
-        representative = np.concatenate(
+        # Row map: each miss row's slot in the computed block.  Every
+        # row then reads the slot of its representative — itself for a
+        # miss, a MAU row (always computed) for a HIT — so one gather
+        # through the group-offset representatives finishes the map.
+        row_map = np.empty(total, dtype=np.int64)
+        row_map[miss_idx] = np.arange(len(miss_idx))
+        sources = np.concatenate(
             [simulation.representative for simulation in simulations])
-        sources = representative + offsets
-        row_map[hit_mask] = row_map[sources[hit_mask]]
-        results = computed[row_map]
+        sources += np.repeat(starts[:-1], counts)
+        results = np.take(computed, np.take(row_map, sources), axis=0)
         return [results[starts[group]:starts[group + 1]]
                 for group in range(num_groups)]
 

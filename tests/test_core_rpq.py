@@ -22,6 +22,42 @@ def test_pack_bits_long_signature_uses_multiword_uint64():
     assert int(signatures_to_ints(packed)[0]) == (1 << 70) - 1
 
 
+def _integer_pack(bits):
+    weights = 1 << np.arange(bits.shape[1] - 1, -1, -1, dtype=np.int64)
+    return bits.astype(np.int64) @ weights
+
+
+def test_pack_bits_matches_the_integer_path_at_every_width():
+    """The float64 GEMV below 54 bits and the integer matvec above it
+    both pack exactly, for every width and input dtype."""
+    rng = np.random.default_rng(0)
+    for n_bits in range(1, 63):
+        bits = rng.integers(0, 2, size=(16, n_bits))
+        bits[0] = 1
+        bits[1] = 0
+        for dtype in (bool, np.uint8, np.int64):
+            packed = pack_bits(bits.astype(dtype))
+            assert packed.dtype == np.int64
+            np.testing.assert_array_equal(packed, _integer_pack(bits))
+
+
+def test_pack_bits_all_ones_across_the_float_boundary():
+    for n_bits in (52, 53, 54):
+        for dtype in (bool, np.uint8, np.int64):
+            packed = pack_bits(np.ones((3, n_bits), dtype=dtype))
+            assert packed.dtype == np.int64
+            assert packed.tolist() == [(1 << n_bits) - 1] * 3
+
+
+def test_signatures_pack_the_sign_bit_matrix():
+    hasher = RPQHasher(seed=5)
+    vectors = np.random.default_rng(5).normal(size=(40, 9))
+    for bits in (20, 53, 54, 70):
+        np.testing.assert_array_equal(
+            hasher.signatures(vectors, bits),
+            pack_bits(hasher.signature_bits_matrix(vectors, bits)))
+
+
 def test_identical_vectors_share_signatures():
     hasher = RPQHasher(seed=1)
     vectors = np.vstack([np.ones(9), np.ones(9)])

@@ -163,6 +163,26 @@ def test_non_integral_float_signatures_are_rejected():
     assert [CODE_TO_STATE[s].value for s in states] == ["MAU", "HIT"]
 
 
+def test_non_integral_or_negative_multiword_batches_are_rejected():
+    """2-D batches must hold exact non-negative integers: a float 1.5
+    used to truncate into word 1 and merge with 1.0, and an int64 -1 to
+    wrap to 2^64 - 1."""
+    for batch in (np.array([[1.5], [1.0]]),
+                  np.array([[-1], [3]], dtype=np.int64),
+                  np.array([[1 << 64], [1]], dtype=object)):
+        with pytest.raises(ValueError, match="exact non-negative"):
+            simulate_hitmap(batch, num_sets=4, ways=2)
+        with pytest.raises(ValueError, match="exact non-negative"):
+            simulate_hitmap_grouped(batch, [1, 1], num_sets=4, ways=2)
+        with pytest.raises(ValueError, match="exact non-negative"):
+            VectorizedMCache(entries=8, ways=2).lookup_or_insert_batch(batch)
+    # Exactly-integral 2-D floats and non-negative ints are accepted.
+    for batch in (np.array([[2.0], [2.0]]),
+                  np.array([[2], [2]], dtype=np.int64)):
+        sim = simulate_hitmap(batch, num_sets=4, ways=2)
+        assert [CODE_TO_STATE[s].value for s in sim.states] == ["MAU", "HIT"]
+
+
 def test_probe_batch_is_non_mutating_across_representations():
     """Read-only probes never promote the tag store, never set the dirty
     flag, and treat negative residents as misses for word probes."""

@@ -15,7 +15,7 @@ import repro.core.rpq as rpq_module
 import repro.nn.layers.conv as conv_module
 from benchmarks.perf_suite import (SCHEMA, check_floors, seed_mode,
                                    seed_pack_bits, segment_im2col)
-from repro.core.rpq import pack_bits, signatures_to_ints
+from repro.core.rpq import RPQHasher, pack_bits, signatures_to_ints
 from repro.nn.im2col import im2col_reference
 
 
@@ -38,6 +38,23 @@ def test_seed_mode_swaps_and_restores_implementations():
         assert rpq_module.pack_bits is seed_pack_bits
     assert conv_module.im2col is original_im2col
     assert rpq_module.pack_bits is original_pack
+
+
+def test_seed_mode_hashes_through_seed_pack_bits():
+    """``RPQHasher.signatures`` packs through the module global, so the
+    train-step floor replays the seed packing: past 62 bits only
+    ``seed_pack_bits`` returns object ints."""
+    vectors = np.random.default_rng(1).normal(size=(12, 9))
+    narrow = RPQHasher(seed=3).signatures(vectors, 20)
+    assert RPQHasher(seed=3).signatures(vectors, 70).dtype == np.uint64
+    with seed_mode():
+        wide = RPQHasher(seed=3).signatures(vectors, 70)
+        np.testing.assert_array_equal(
+            RPQHasher(seed=3).signatures(vectors, 20), narrow)
+    assert wide.dtype == object
+    np.testing.assert_array_equal(
+        wide, seed_pack_bits(RPQHasher(seed=3).signature_bits_matrix(
+            vectors, 70)))
 
 
 def test_segment_payload_shape():
