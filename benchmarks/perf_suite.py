@@ -25,10 +25,10 @@ oracles — the dominant costs this overhaul removed:
   every classification materialised ``HitState`` enum arrays and every
   consumer scanned them with object compares (``seed_mode`` replays
   the materialisation and mask scans per classification);
-* the per-group masked cache ride — before the fused
-  gather->GEMM->scatter ``ReuseSession.ride_groups`` assembled every
-  ``matmul_groups`` call in one pass (``ReuseSession.ride`` once per
-  group is the oracle; the ``cache_ride`` segment times the two
+* the per-group masked cache ride — before the fused, summed
+  ``ReuseSession.ride_groups`` assembled every ``matmul_groups`` call
+  in one pass (``masked_ride`` once per group, summed into a zeroed
+  buffer, is the oracle; the ``cache_ride`` segment times the two
   assemblies head to head and asserts them bit-identical);
 * cache-less serving — the serving segment replays one Zipfian trace
   without and with the cross-request exact cache;
@@ -151,12 +151,31 @@ def _seed_object_states(simulation):
     return simulation
 
 
-def per_call_matmul_groups(self, vectors_groups, weights_groups, *,
-                           layer, phase="forward"):
-    """One engine call per channel group: the loop ``matmul_groups``
-    replaced with one multi-group signature phase."""
-    return [self.matmul(vectors, weights, layer=layer, phase=phase)
-            for vectors, weights in zip(vectors_groups, weights_groups)]
+def masked_ride(vectors, weights, simulation):
+    """The seed's boolean-mask cache ride: compute the miss rows, then
+    copy every HIT row from its representative.  A copy of the oracle in
+    ``tests/helpers.py``, so the suite runs without ``tests/`` on the
+    path."""
+    from repro.core.hitmap import HIT_CODE
+    if not simulation.hits:
+        return vectors @ weights
+    hit_mask = simulation.states == HIT_CODE
+    compute_mask = ~hit_mask
+    result = np.empty((len(vectors), weights.shape[1]), dtype=np.float64)
+    result[compute_mask] = vectors[compute_mask] @ weights
+    result[hit_mask] = result[simulation.representative[hit_mask]]
+    return result
+
+
+def per_call_matmul_groups(self, vectors, weights, width, *, layer,
+                           phase="forward"):
+    """One engine call per channel group, summed from zeros: the loop
+    ``matmul_groups`` replaced with one layer-granular call."""
+    out = np.zeros((len(vectors), weights.shape[1]), dtype=np.float64)
+    for lo in range(0, vectors.shape[1], width):
+        out += self.matmul(vectors[:, lo:lo + width], weights[lo:lo + width],
+                           layer=layer, phase=phase)
+    return out
 
 
 @contextmanager
@@ -168,13 +187,14 @@ def seed_mode():
     call per channel group (``per_call_matmul_groups``, instead of the
     multi-group signature phase), object-dtype ``HitState`` arrays on
     every classification (``_seed_object_states``), and with them the
-    per-group masked cache ride (``ReuseSession.ride`` per call — what
-    each per-call ``matmul`` runs — instead of the fused
-    gather->GEMM->scatter ``ride_groups``)."""
+    per-group masked cache ride (``masked_ride`` per call — what each
+    per-call ``matmul`` ran — instead of the fused, summed
+    ``ride_groups``)."""
     from repro.core.session import ReuseSession
 
     original_im2col = conv_module.im2col
     original_pack_bits = rpq_module.pack_bits
+    original_ride = vars(ReuseSession)["ride"]
     original_classify = ReuseSession.classify
     original_classify_groups = ReuseSession.classify_groups
     original_matmul_groups = ReuseEngine.matmul_groups
@@ -191,11 +211,13 @@ def seed_mode():
     ReuseSession.classify = seed_classify
     ReuseSession.classify_groups = seed_classify_groups
     ReuseEngine.matmul_groups = per_call_matmul_groups
+    ReuseSession.ride = staticmethod(masked_ride)
     try:
         yield
     finally:
         conv_module.im2col = original_im2col
         rpq_module.pack_bits = original_pack_bits
+        ReuseSession.ride = original_ride
         ReuseSession.classify = original_classify
         ReuseSession.classify_groups = original_classify_groups
         ReuseEngine.matmul_groups = original_matmul_groups
@@ -315,22 +337,22 @@ def segment_conv_group_batching(quick: bool, repeats: int) -> dict:
 
 def segment_cache_ride(quick: bool, repeats: int) -> dict:
     """Cache-ride assembly at conv-like group counts: per-group masked
-    GEMMs (`ReuseSession.ride` once per group — the oracle) vs the fused
-    gather->GEMM->scatter (`ReuseSession.ride_groups`: one miss gather,
-    contiguous per-group GEMM slices, one scatter + HIT copy).  Both
-    sides are asserted bit-identical before timing."""
+    GEMMs summed into a zeroed buffer (`masked_ride` once per group —
+    the seed's ride and conv loop) vs the fused, summed ride
+    (`ReuseSession.ride_groups`: per-group miss gathers and GEMMs, then
+    one row-blocked gather-and-add pass).  Both sides are asserted
+    bit-identical before timing."""
     from repro.core.hitmap_sim import simulate_hitmap_grouped
     from repro.core.session import ReuseSession
 
     # The engine's per-channel-group shape: a 3x3 kernel over one
-    # channel gives length-9 vectors, one group per input channel.
+    # channel gives length-9 column groups, one per input channel.
     num_groups = 32 if quick else 64
     rows = 256 if quick else 576
     length, num_filters = 9, 16
     rng = np.random.default_rng(4)
-    groups = [rng.normal(size=(rows, length)) for _ in range(num_groups)]
-    weights = [rng.normal(size=(length, num_filters))
-               for _ in range(num_groups)]
+    vectors = rng.normal(size=(rows, num_groups * length))
+    weights = rng.normal(size=(num_groups * length, num_filters))
     # A small signature pool per group reproduces the early-conv
     # similarity regime (paper Figure 1): most rows are HITs, so the
     # assembly overhead, not the GEMM, dominates the per-call loop.
@@ -341,15 +363,18 @@ def segment_cache_ride(quick: bool, repeats: int) -> dict:
         num_sets=256, ways=16)
 
     def masked_per_group():
-        return [ReuseSession.ride(vectors, w, simulation)
-                for vectors, w, simulation
-                in zip(groups, weights, simulations)]
+        out = np.zeros((rows, num_filters))
+        for group, simulation in enumerate(simulations):
+            lo = group * length
+            out += masked_ride(vectors[:, lo:lo + length],
+                               weights[lo:lo + length], simulation)
+        return out
 
     def fused():
-        return ReuseSession.ride_groups(groups, weights, simulations)
+        return ReuseSession.ride_groups(vectors, weights, length,
+                                        simulations)
 
-    for oracle, ride in zip(masked_per_group(), fused()):
-        np.testing.assert_array_equal(oracle, ride)
+    np.testing.assert_array_equal(masked_per_group(), fused())
     # Sub-millisecond assembly calls are allocator-noise sensitive;
     # extra best-of iterations are cheap and stabilise the ratio.
     repeats = max(repeats, 10)

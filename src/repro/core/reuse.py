@@ -137,13 +137,7 @@ class ReuseEngine:
     def matmul(self, vectors: np.ndarray, weights: np.ndarray, *,
                layer: str, phase: str = "forward") -> np.ndarray:
         """Multiply ``vectors`` (rows) by ``weights`` with signature reuse."""
-        vectors = np.asarray(vectors, dtype=np.float64)
-        weights = np.asarray(weights, dtype=np.float64)
-        if vectors.ndim != 2 or weights.ndim != 2:
-            raise ValueError("matmul expects 2D vectors and weights")
-        if vectors.shape[1] != weights.shape[0]:
-            raise ValueError(
-                f"shape mismatch: vectors {vectors.shape} x weights {weights.shape}")
+        vectors, weights = self._operands(vectors, weights)
 
         num_vectors, vector_length = vectors.shape
         num_filters = weights.shape[1]
@@ -158,7 +152,7 @@ class ReuseEngine:
 
         signatures, reloaded = self._signatures_for(vectors, layer, phase)
         simulation = self.session.classify(signatures)
-        result = ReuseSession.ride(vectors, weights, simulation)
+        result = self.session.ride(vectors, weights, simulation)
 
         if phase == "forward":
             self.signature_table.store(layer, vector_length,
@@ -175,102 +169,91 @@ class ReuseEngine:
         return result
 
     # ------------------------------------------------------------------
-    def matmul_groups(self, vectors_groups, weights_groups, *, layer: str,
-                      phase: str = "forward") -> list[np.ndarray]:
-        """Service several same-layer matmul calls in one signature phase.
+    def matmul_groups(self, vectors: np.ndarray, weights: np.ndarray,
+                      width: int, *, layer: str,
+                      phase: str = "forward") -> np.ndarray:
+        """One layer call split into column groups, returned summed.
 
-        ``vectors_groups[i] @ weights_groups[i]`` with signature reuse,
-        exactly as ``len(vectors_groups)`` successive :meth:`matmul`
-        calls would compute it — same results, statistics, MCACHE
-        counters and signature-table state, which the regression suite
-        asserts — but the Hitmap classification for all groups runs as
-        one multi-group group-by
-        (:func:`repro.core.hitmap_sim.simulate_hitmap_grouped`), so the
-        per-call overhead that dominated ``conv_channel_group=1`` runs
-        is paid once per layer call instead of once per channel group.
-        Each group still probes a fresh MCACHE: signatures never match,
-        and never steal ways, across groups.
+        Group ``g`` multiplies columns ``[g·width, (g+1)·width)`` of
+        ``vectors`` by the same rows of ``weights`` — a conv layer's
+        channel groups, the last one narrower when the channels do not
+        divide — each with its own signatures and its own fresh MCACHE:
+        signatures never match, and never steal ways, across groups.
+        The result is the ``(rows, filters)`` sum over the groups.
+
+        * Detection off: one ``vectors @ weights`` GEMM — the product
+          the exact engine and an engine-less layer compute, to the last
+          bit.
+        * Forward, detection on: one signature call per group, one
+          multi-group classification
+          (:func:`repro.core.hitmap_sim.simulate_hitmap_grouped`) and
+          one fused, summed ride (:meth:`ReuseSession.ride_groups`) —
+          bit for bit one :meth:`matmul` per group summed from zeros.
+        * Backward, detection on: one :meth:`matmul` per group, summed
+          from zeros, since each group may reload its signatures from
+          the table.
+
+        Statistics merge once per call with ``calls`` set to the group
+        count, equal field for field to one merge per group; the
+        signature table keeps the last group's record, as per-group
+        stores would.
         """
-        groups = [np.asarray(vectors, dtype=np.float64)
-                  for vectors in vectors_groups]
-        weights_list = [np.asarray(weights, dtype=np.float64)
-                        for weights in weights_groups]
-        if len(groups) != len(weights_list):
-            raise ValueError("vectors_groups and weights_groups must pair up")
-        if phase != "forward" or len(groups) <= 1:
-            # Backward calls may reload signatures from the table, a
-            # stateful per-call interaction the batched phase does not
-            # model; delegate to the exact per-call path.
-            return [self.matmul(vectors, weights, layer=layer, phase=phase)
-                    for vectors, weights in zip(groups, weights_list)]
-        for vectors, weights in zip(groups, weights_list):
-            if vectors.ndim != 2 or weights.ndim != 2:
-                raise ValueError("matmul_groups expects 2D groups")
-            if vectors.shape[1] != weights.shape[0]:
-                raise ValueError(
-                    f"shape mismatch: vectors {vectors.shape} x "
-                    f"weights {weights.shape}")
+        vectors, weights = self._operands(vectors, weights)
+        num_vectors, length = vectors.shape
+        starts = range(0, length, width)
+        tail = length - starts[-1]
+        total = num_vectors * len(starts)
+        call = dict(vectors=total, vector_length=tail,
+                    num_filters=weights.shape[1], calls=len(starts))
 
         if not self._detection_enabled(layer, phase):
-            results = []
-            for vectors, weights in zip(groups, weights_list):
-                results.append(vectors @ weights)
-                self._record(layer, phase, vectors=vectors.shape[0], hits=0,
-                             mau=0, mnu=vectors.shape[0],
-                             vector_length=vectors.shape[1],
-                             num_filters=weights.shape[1],
-                             unique=vectors.shape[0], detection_on=False)
-            return results
+            self._record(layer, phase, hits=0, mau=0, mnu=total,
+                         unique=total, detection_on=False, **call)
+            return vectors @ weights
+        if phase != "forward":
+            result = np.zeros((num_vectors, weights.shape[1]))
+            for lo in starts:
+                result += self.matmul(vectors[:, lo:lo + width],
+                                      weights[lo:lo + width],
+                                      layer=layer, phase=phase)
+            return result
 
-        # The pure hasher path per group (identical to matmul's forward
-        # signature computation — projections are per-row, but hashing
-        # group by group keeps each gemm call bitwise identical to the
-        # per-call oracle).
-        signature_groups = [self.hasher.signatures(vectors,
-                                                   self.signature_bits)
-                            for vectors in groups]
+        # Hashing group by group keeps each projection GEMM bitwise
+        # identical to the per-call path's.
+        signature_groups = [
+            self.hasher.signatures(vectors[:, lo:lo + width],
+                                   self.signature_bits) for lo in starts]
         simulations = self.session.classify_groups(signature_groups)
+        result = self.session.ride_groups(vectors, weights, width,
+                                          simulations)
+        self.signature_table.store(layer, tail, self.signature_bits,
+                                   signature_groups[-1], simulations[-1])
+        self.last_simulations[(layer, phase)] = simulations[-1]
+        self._record(layer, phase, hits=sum(s.hits for s in simulations),
+                     mau=sum(s.mau for s in simulations),
+                     mnu=sum(s.mnu for s in simulations),
+                     unique=sum(s.unique_signatures for s in simulations),
+                     detection_on=True, **call)
+        return result
 
-        # The fused ride assembles all groups through one gather → block
-        # GEMM → scatter; it needs one shared (length, filters) shape
-        # (a ragged tail group — in_channels not divisible — falls back
-        # to the per-group masked ride).
-        uniform = all(
-            weights.shape == weights_list[0].shape
-            for weights in weights_list[1:])
-        if uniform:
-            results = ReuseSession.ride_groups(groups, weights_list,
-                                               simulations)
-        else:
-            results = [ReuseSession.ride(vectors, weights, simulation)
-                       for vectors, weights, simulation in
-                       zip(groups, weights_list, simulations)]
-
-        for vectors, weights, signatures, simulation in zip(
-                groups, weights_list, signature_groups, simulations):
-            num_vectors, vector_length = vectors.shape
-            num_filters = weights.shape[1]
-
-            # Per-group bookkeeping mirrors the per-call loop exactly:
-            # the table record is overwritten per group (last group
-            # wins), and statistics merge one call per group.
-            self.signature_table.store(layer, vector_length,
-                                       self.signature_bits, signatures,
-                                       simulation)
-            self.last_simulations[(layer, phase)] = simulation
-            self._record(layer, phase, vectors=num_vectors,
-                         hits=simulation.hits, mau=simulation.mau,
-                         mnu=simulation.mnu, vector_length=vector_length,
-                         num_filters=num_filters,
-                         unique=simulation.unique_signatures,
-                         detection_on=True, signatures_reloaded=False)
-        return results
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _operands(vectors, weights) -> tuple[np.ndarray, np.ndarray]:
+        """Both operands as float64 matrices that multiply."""
+        vectors = np.asarray(vectors, dtype=np.float64)
+        weights = np.asarray(weights, dtype=np.float64)
+        if vectors.ndim != 2 or weights.ndim != 2:
+            raise ValueError("matmul expects 2D vectors and weights")
+        if vectors.shape[1] != weights.shape[0]:
+            raise ValueError(
+                f"shape mismatch: vectors {vectors.shape} x weights {weights.shape}")
+        return vectors, weights
 
     # ------------------------------------------------------------------
     def _record(self, layer: str, phase: str, *, vectors: int, hits: int,
                 mau: int, mnu: int, vector_length: int, num_filters: int,
                 unique: int, detection_on: bool,
-                signatures_reloaded: bool = False) -> None:
+                signatures_reloaded: bool = False, calls: int = 1) -> None:
         for stats in (self.stats, self.batch_stats):
             record = stats.record_for(layer, phase)
             record.merge_call(vectors=vectors, hits=hits, mau=mau, mnu=mnu,
@@ -279,7 +262,8 @@ class ReuseEngine:
                               signature_bits=self.signature_bits,
                               unique_signatures=unique,
                               detection_on=detection_on,
-                              signatures_reloaded=signatures_reloaded)
+                              signatures_reloaded=signatures_reloaded,
+                              calls=calls)
 
     # ------------------------------------------------------------------
     def end_iteration(self, loss: float | None = None) -> None:

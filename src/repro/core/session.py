@@ -57,6 +57,10 @@ from repro.core.rpq import RPQHasher, unique_signatures
 
 ADMISSION_POLICIES = ("always", "frequency", "size")
 
+#: Bytes of output one :meth:`ReuseSession.ride_groups` row block spans,
+#: so the accumulator block stays cache-resident across the groups.
+RIDE_BLOCK_BYTES = 1 << 16
+
 #: Version of the :meth:`ReuseSession.state_dict` layout.  Bump when the
 #: array/meta contract changes; ``load_state_dict`` rejects mismatches.
 #: Version 2 added the ``layout`` key and the eviction metadata arrays.
@@ -304,90 +308,93 @@ class ReuseSession:
     @staticmethod
     def ride(vectors: np.ndarray, weights: np.ndarray,
              simulation: HitmapSimulation) -> np.ndarray:
-        """The cache-ride assembly: compute misses, copy HIT rows."""
-        num_vectors = vectors.shape[0]
-        num_filters = weights.shape[1]
-        if simulation.hits:
-            hit_mask = simulation.states == HIT_CODE
-            compute_mask = ~hit_mask
-            result = np.empty((num_vectors, num_filters), dtype=np.float64)
-            result[compute_mask] = vectors[compute_mask] @ weights
-            result[hit_mask] = result[simulation.representative[hit_mask]]
-        else:
-            # Nothing to copy: skip the mask build and the masked
-            # gather/scatter round trip.
-            result = vectors @ weights
-        return result
+        """The cache-ride assembly: compute misses, copy HIT rows.
+
+        The one-group case of :meth:`ride_groups`: one ``np.take`` of
+        the miss rows, one GEMM of their shape and one row-map gather
+        that places every row — a HIT reads its representative's
+        product.
+        """
+        if not simulation.hits:
+            return vectors @ weights
+        computed, row_map = ReuseSession._miss_products(
+            vectors, weights, vectors.shape[1], [simulation])
+        return np.take(computed, row_map[0], axis=0)
 
     @staticmethod
-    def ride_groups(vectors_groups, weights_groups,
-                    simulations) -> list[np.ndarray]:
-        """Fused cache ride over many channel groups at once.
+    def _miss_products(vectors, weights, width, simulations):
+        """Every group's miss-row products, and where each row finds its own.
 
-        Bit-identical to calling :meth:`ride` once per group, but the
-        assembly runs as gather → block GEMM → scatter over the whole
-        ``matmul_groups`` call: per group, one ``np.take`` of its miss
-        rows and one GEMM into a contiguous slice of a shared computed
-        block (the per-group ``(misses, length) @ (length, filters)``
-        shapes — and therefore the BLAS reduction order and every output
-        bit — match the per-call path exactly), then one row-map gather
-        to assemble the output.  The scatter and the HIT-row copy
-        collapse into that last gather: an int64 map sends every row to
-        its row in the computed block — misses to their own GEMM row,
-        HITs to their representative's (a MAU row, so always computed)
-        — and ``np.take(computed, map, axis=0)`` materialises the whole
-        result in one pass.  Fixing up the map moves 8 bytes per
-        HIT row where the per-call path copies a full result row, which
-        is where the fused speedup comes from at conv-like group
-        counts.
-
-        Caller contract (the engine's ``matmul_groups`` enforces it):
-        every group shares one vector length and one filter count, and
-        vectors are float64.  Returns per-group result views into one
-        contiguous ``(total_rows, filters)`` buffer.
+        Group ``g`` multiplies columns ``[g·width, (g+1)·width)`` of
+        ``vectors`` by the same rows of ``weights``.  Its miss rows are
+        gathered by one ``np.take`` and multiplied into a slice of one
+        ``(misses, filters)`` block: the per-call
+        ``(misses, width) @ (width, filters)`` shape, so the BLAS
+        reduction order — and every output bit — is the per-call one.
+        The returned ``(groups, rows)`` int64 map sends every row to
+        its representative's slot in that block: itself for a miss, a
+        MAU row (always computed) for a HIT.
         """
-        num_groups = len(vectors_groups)
-        counts = np.array([len(vectors) for vectors in vectors_groups],
-                          dtype=np.int64)
-        starts = np.zeros(num_groups + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        total = int(starts[-1])
-        num_filters = weights_groups[0].shape[1]
-
-        if not any(simulation.hits for simulation in simulations):
-            # Per-call fast path taken for every group: plain products.
-            return [vectors @ weights for vectors, weights
-                    in zip(vectors_groups, weights_groups)]
-
-        codes = np.concatenate([simulation.states
-                                for simulation in simulations])
-        miss_idx = np.flatnonzero(codes != HIT_CODE)
+        num_rows = vectors.shape[0]
+        states = np.concatenate([simulation.states
+                                 for simulation in simulations])
+        miss_idx = np.flatnonzero(states != HIT_CODE)
+        starts = np.arange(len(simulations) + 1) * num_rows
         # miss_idx ascends, so each group's misses form one contiguous
         # segment [seg[g], seg[g+1]) of the computed block.
         seg = np.searchsorted(miss_idx, starts)
-        computed = np.empty((len(miss_idx), num_filters), dtype=np.float64)
-        for group in range(num_groups):
-            lo, hi = int(seg[group]), int(seg[group + 1])
-            if lo == hi:
+        computed = np.empty((len(miss_idx), weights.shape[1]),
+                            dtype=np.float64)
+        for group, lo in enumerate(range(0, vectors.shape[1], width)):
+            first, last = int(seg[group]), int(seg[group + 1])
+            if first == last:
                 continue
             # np.take without out=: with mode="raise" numpy buffers
             # any out= argument, an extra copy of every miss row.
-            np.matmul(np.take(vectors_groups[group],
-                              miss_idx[lo:hi] - starts[group], axis=0),
-                      weights_groups[group], out=computed[lo:hi])
+            np.matmul(np.take(vectors[:, lo:lo + width],
+                              miss_idx[first:last] - starts[group], axis=0),
+                      weights[lo:lo + width], out=computed[first:last])
+        slots = np.empty(len(states), dtype=np.int64)
+        slots[miss_idx] = np.arange(len(miss_idx))
+        sources = np.concatenate([simulation.representative
+                                  for simulation in simulations])
+        sources = sources.reshape(len(simulations), num_rows)
+        sources += starts[:-1, None]
+        return computed, np.take(slots, sources)
 
-        # Row map: each miss row's slot in the computed block.  Every
-        # row then reads the slot of its representative — itself for a
-        # miss, a MAU row (always computed) for a HIT — so one gather
-        # through the group-offset representatives finishes the map.
-        row_map = np.empty(total, dtype=np.int64)
-        row_map[miss_idx] = np.arange(len(miss_idx))
-        sources = np.concatenate(
-            [simulation.representative for simulation in simulations])
-        sources += np.repeat(starts[:-1], counts)
-        results = np.take(computed, np.take(row_map, sources), axis=0)
-        return [results[starts[group]:starts[group + 1]]
-                for group in range(num_groups)]
+    @staticmethod
+    def ride_groups(vectors: np.ndarray, weights: np.ndarray, width: int,
+                    simulations) -> np.ndarray:
+        """Fused cache ride over a layer's channel groups, summed.
+
+        Group ``g`` is ``vectors[:, g·width:(g+1)·width]`` against the
+        same rows of ``weights`` (the last group may be narrower), with
+        ``simulations[g]`` as its Hitmap; every group has all
+        ``len(vectors)`` rows and all ``weights.shape[1]`` filters.
+        Returns the ``(rows, filters)`` sum of the group rides, bit for
+        bit what one :meth:`ride` per group summed into a zeroed buffer
+        computes: the products come from :meth:`_miss_products`, and
+        each output element adds ``0 + r0 + r1 + …`` in group order.
+        The sum runs in cache-sized row blocks: per block, each group's
+        products are gathered into one scratch block and added, so no
+        per-group result or ``(rows·groups, filters)`` buffer is built.
+        """
+        computed, row_map = ReuseSession._miss_products(
+            vectors, weights, width, simulations)
+        num_rows, num_filters = vectors.shape[0], weights.shape[1]
+        out = np.zeros((num_rows, num_filters), dtype=np.float64)
+        block = max(RIDE_BLOCK_BYTES // (8 * max(num_filters, 1)), 1)
+        scratch = np.empty((min(block, num_rows), num_filters),
+                           dtype=np.float64)
+        for lo in range(0, num_rows, block):
+            acc = out[lo:lo + block]
+            part = scratch[:len(acc)]
+            for group_map in row_map[:, lo:lo + block]:
+                # mode="clip" lets np.take write into ``part`` unbuffered;
+                # every index is in range, so it clips nothing.
+                np.take(computed, group_map, axis=0, out=part, mode="clip")
+                acc += part
+        return out
 
     # ------------------------------------------------------------------
     # Persistent phase — the serving caches

@@ -101,37 +101,27 @@ class Conv2D(Module):
         return cache[1]
 
     def _engine_forward(self, cols: np.ndarray, weight_matrix: np.ndarray) -> np.ndarray:
-        """Route the forward dot products through the engine, per channel group."""
+        """Route the forward dot products through the engine, per channel group.
+
+        A channel group is a contiguous block of ``group·k²`` im2col
+        columns.  Engines with ``matmul_groups`` take the whole layer
+        and return the summed product; others get one call per group.
+        """
         group = self._channel_group_size()
         if group is None or group >= self.in_channels:
             return self.engine.matmul(cols, weight_matrix,
                                       layer=self.layer_name, phase="forward")
 
-        patch = self.kernel_size * self.kernel_size
-        num_vectors = cols.shape[0]
-        cols3d = cols.reshape(num_vectors, self.in_channels, patch)
-        weights3d = weight_matrix.reshape(self.in_channels, patch,
-                                          self.out_channels)
-        group_cols = []
-        group_weights = []
-        for start in range(0, self.in_channels, group):
-            stop = min(start + group, self.in_channels)
-            group_cols.append(cols3d[:, start:stop].reshape(num_vectors, -1))
-            group_weights.append(
-                weights3d[start:stop].reshape(-1, self.out_channels))
-
+        width = group * self.kernel_size * self.kernel_size
         if hasattr(self.engine, "matmul_groups"):
-            results = self.engine.matmul_groups(group_cols, group_weights,
-                                                layer=self.layer_name,
-                                                phase="forward")
-        else:
-            results = (self.engine.matmul(vectors, weights,
-                                          layer=self.layer_name,
-                                          phase="forward")
-                       for vectors, weights in zip(group_cols, group_weights))
-        out = np.zeros((num_vectors, self.out_channels), dtype=np.float64)
-        for result in results:
-            out += result
+            return self.engine.matmul_groups(cols, weight_matrix, width,
+                                             layer=self.layer_name,
+                                             phase="forward")
+        out = np.zeros((cols.shape[0], self.out_channels), dtype=np.float64)
+        for lo in range(0, cols.shape[1], width):
+            out += self.engine.matmul(cols[:, lo:lo + width],
+                                      weight_matrix[lo:lo + width],
+                                      layer=self.layer_name, phase="forward")
         return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 
 from repro.core.config import MercuryConfig
 from repro.core.differential import scalar_reference_simulation
+from repro.core.hitmap import HIT_CODE
 from repro.core.hitmap_sim import HitmapSimulation
 from repro.core.reuse import ReuseEngine
 from repro.core.session import ReuseSession
@@ -42,22 +43,39 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 # ----------------------------------------------------------------------
 # Reuse-engine oracles
 # ----------------------------------------------------------------------
-class PerCallEngine(ReuseEngine):
-    """The per-call oracle for :meth:`ReuseEngine.matmul_groups`.
+def masked_ride(vectors: np.ndarray, weights: np.ndarray,
+                simulation: HitmapSimulation) -> np.ndarray:
+    """The boolean-mask oracle for :meth:`ReuseSession.ride`."""
+    if not simulation.hits:
+        return vectors @ weights
+    hit_mask = simulation.states == HIT_CODE
+    compute_mask = ~hit_mask
+    result = np.empty((len(vectors), weights.shape[1]), dtype=np.float64)
+    result[compute_mask] = vectors[compute_mask] @ weights
+    result[hit_mask] = result[simulation.representative[hit_mask]]
+    return result
 
-    Services every channel group with its own :meth:`matmul` call — its
-    own hash, fresh-MCACHE classification and masked ride — which the
-    batched multi-group phase must reproduce bit for bit.
-    """
 
-    def matmul_groups(self, vectors_groups, weights_groups, *, layer: str,
-                      phase: str = "forward") -> list[np.ndarray]:
-        return [self.matmul(vectors, weights, layer=layer, phase=phase)
-                for vectors, weights in zip(vectors_groups, weights_groups)]
+def masked_ride_groups(vectors: np.ndarray, weights: np.ndarray, width: int,
+                       simulations) -> np.ndarray:
+    """The oracle for :meth:`ReuseSession.ride_groups`: one masked ride
+    per column group, summed from zeros in group order."""
+    out = np.zeros((len(vectors), weights.shape[1]), dtype=np.float64)
+    for lo, simulation in zip(range(0, vectors.shape[1], width),
+                              simulations):
+        out += masked_ride(vectors[:, lo:lo + width],
+                           weights[lo:lo + width], simulation)
+    return out
 
 
-class ScalarSession(ReuseSession):
-    """Flash session whose Hitmaps come from the line-level scalar MCACHE."""
+class MaskedSession(ReuseSession):
+    """Flash session whose rides run on the boolean-mask oracle."""
+
+    ride = staticmethod(masked_ride)
+
+
+class ScalarSession(MaskedSession):
+    """Masked session whose Hitmaps come from the line-level scalar MCACHE."""
 
     def classify(self, signatures) -> HitmapSimulation:
         self.clears += 1
@@ -66,20 +84,37 @@ class ScalarSession(ReuseSession):
                                            ways=self.policy.ways)
 
 
-class ScalarOracleEngine(PerCallEngine):
-    """The per-call engine classifying every batch on the scalar oracle."""
+class PerCallEngine(ReuseEngine):
+    """The per-call oracle for :meth:`ReuseEngine.matmul_groups`.
+
+    Services every column group with its own :meth:`matmul` call — its
+    own hash, fresh-MCACHE classification and masked ride — summed from
+    zeros, which the layer-granular call must reproduce bit for bit.
+    With detection off the groups still record one call each, but the
+    product is the one exact GEMM.
+    """
+
+    session_class = MaskedSession
 
     def __init__(self, config: MercuryConfig | None = None):
         super().__init__(config)
-        self.session = ScalarSession(self.session.policy, hasher=self.hasher,
-                                     persistent=False,
-                                     versions=self.config.mcache_versions)
+        self.session = self.session_class(
+            self.session.policy, hasher=self.hasher, persistent=False,
+            versions=self.config.mcache_versions)
         self.mcache = self.session.mcache
 
+    def matmul_groups(self, vectors, weights, width, *, layer: str,
+                      phase: str = "forward") -> np.ndarray:
+        detection_on = self._detection_enabled(layer, phase)
+        out = np.zeros((len(vectors), weights.shape[1]), dtype=np.float64)
+        for lo in range(0, vectors.shape[1], width):
+            out += self.matmul(vectors[:, lo:lo + width],
+                               weights[lo:lo + width], layer=layer,
+                               phase=phase)
+        return out if detection_on else vectors @ weights
 
-def masked_ride_groups(vectors_groups, weights_groups,
-                       simulations) -> list[np.ndarray]:
-    """The masked-ride oracle for :meth:`ReuseSession.ride_groups`."""
-    return [ReuseSession.ride(vectors, weights, simulation)
-            for vectors, weights, simulation
-            in zip(vectors_groups, weights_groups, simulations)]
+
+class ScalarOracleEngine(PerCallEngine):
+    """The per-call engine classifying every batch on the scalar oracle."""
+
+    session_class = ScalarSession

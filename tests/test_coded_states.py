@@ -12,9 +12,10 @@ These suites pin the coded representation to that oracle:
 * the serving probe paths (``_probe_and_admit`` with the frequency gate,
   ``_probe_and_admit_evicting`` with a replacement policy) emit int8
   codes whose semantics match a scalar mirror replay;
-* the fused gather->GEMM->scatter ``ride_groups`` is bit-identical to
-  the per-call masked ``ride`` oracle, directly and engine-to-engine
-  (``tests.helpers.masked_ride_groups`` swapped in for the oracle run);
+* the fused, summed ``ride_groups`` is bit-identical to the per-group
+  masked ride oracle summed from zeros, directly and engine-to-engine
+  (``tests.helpers.masked_ride_groups`` swapped in for the oracle run),
+  and the take-based ``ride`` to the masked ``ride`` it replaced;
 * ``words_to_ints`` (the exact-Python-int expansion) never runs on the
   engine path — only the scalar/differential oracle may call it;
 * ``_prune_seen``'s argpartition selection matches the old
@@ -28,6 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import session as session_module
 from repro.core.config import MercuryConfig
 from repro.core.differential import scalar_reference_simulation
 from repro.core.hitmap import CODE_TO_STATE, HIT_CODE, MAU_CODE, MNU_CODE
@@ -37,7 +39,7 @@ from repro.core.reuse import ReuseEngine
 from repro.core.rpq import ints_to_words, unique_signatures
 from repro.core.session import ReuseSession, SessionPolicy
 from repro.nn.layers.conv import Conv2D
-from tests.helpers import masked_ride_groups
+from tests.helpers import masked_ride, masked_ride_groups
 
 
 def _enum_oracle_codes(trace, entries: int, ways: int) -> list[int]:
@@ -188,35 +190,50 @@ class TestProbePathCodes:
 # ---------------------------------------------------------------------------
 class TestFusedRide:
     @given(st.integers(0, 2 ** 31), st.integers(1, 5),
-           st.integers(1, 40), st.integers(1, 16))
+           st.integers(1, 40), st.integers(1, 16), st.integers(1, 5))
     @settings(max_examples=20, deadline=None)
     def test_ride_groups_matches_per_group_ride(self, seed, num_groups,
-                                                rows, pool):
+                                                rows, pool, tail):
         rng = np.random.default_rng(seed)
-        groups = [rng.normal(size=(rows, 5)) for _ in range(num_groups)]
-        weights = [rng.normal(size=(5, 3)) for _ in range(num_groups)]
+        # num_groups groups of 5 columns, the last one ``tail`` wide.
+        vectors = rng.normal(size=(rows, 5 * (num_groups - 1) + tail))
+        weights = rng.normal(size=(vectors.shape[1], 3))
         traces = [rng.choice(rng.integers(0, 1 << 16, size=pool),
                              size=rows) for _ in range(num_groups)]
         sims = simulate_hitmap_grouped(np.concatenate(traces),
                                        [rows] * num_groups,
                                        num_sets=4, ways=2)
-        fused = ReuseSession.ride_groups(groups, weights, sims)
-        for result, vectors, w, sim in zip(fused, groups, weights, sims):
-            np.testing.assert_array_equal(
-                result, ReuseSession.ride(vectors, w, sim))
+        fused = ReuseSession.ride_groups(vectors, weights, 5, sims)
+        np.testing.assert_array_equal(
+            fused, masked_ride_groups(vectors, weights, 5, sims))
+        # The one-group ride is the same take-based assembly.
+        np.testing.assert_array_equal(
+            ReuseSession.ride(vectors[:, :5], weights[:5], sims[0]),
+            masked_ride(vectors[:, :5], weights[:5], sims[0]))
 
     def test_ride_groups_all_hit_and_no_hit_groups(self, rng):
         # One group with zero hits, one fully redundant after its first
         # row — the degenerate fills of the gather/scatter bookkeeping.
-        groups = [rng.normal(size=(4, 3)), rng.normal(size=(4, 3))]
-        weights = [rng.normal(size=(3, 2)), rng.normal(size=(3, 2))]
+        vectors = rng.normal(size=(4, 6))
+        weights = rng.normal(size=(6, 2))
         traces = [np.arange(4) * 7, np.full(4, 9)]
         sims = simulate_hitmap_grouped(np.concatenate(traces), [4, 4],
                                        num_sets=4, ways=2)
-        fused = ReuseSession.ride_groups(groups, weights, sims)
-        for result, vectors, w, sim in zip(fused, groups, weights, sims):
-            np.testing.assert_array_equal(
-                result, ReuseSession.ride(vectors, w, sim))
+        fused = ReuseSession.ride_groups(vectors, weights, 3, sims)
+        np.testing.assert_array_equal(
+            fused, masked_ride_groups(vectors, weights, 3, sims))
+
+    def test_ride_groups_spans_row_blocks(self, rng, monkeypatch):
+        """Sums that cross row-block boundaries, ragged last block too."""
+        monkeypatch.setattr(session_module, "RIDE_BLOCK_BYTES", 8 * 3 * 7)
+        vectors = rng.normal(size=(50, 11))
+        weights = rng.normal(size=(11, 3))
+        traces = [rng.integers(0, 6, size=50) for _ in range(3)]
+        sims = simulate_hitmap_grouped(np.concatenate(traces), [50] * 3,
+                                       num_sets=4, ways=2)
+        np.testing.assert_array_equal(
+            ReuseSession.ride_groups(vectors, weights, 4, sims),
+            masked_ride_groups(vectors, weights, 4, sims))
 
     @pytest.mark.parametrize("channel_group,in_channels",
                              [(1, 6), (2, 6), (3, 7)])

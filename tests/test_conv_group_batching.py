@@ -16,9 +16,10 @@ import pytest
 from repro.core.config import MercuryConfig
 from repro.core.hitmap import HIT_CODE, MAU_CODE
 from repro.core.hitmap_sim import simulate_hitmap, simulate_hitmap_grouped
-from repro.core.reuse import ReuseEngine
+from repro.core.reuse import ExactCountingEngine, ReuseEngine
 from repro.core.rpq import ints_to_words
 from repro.models.registry import build_model
+from repro.nn.im2col import im2col
 from repro.nn.layers.conv import Conv2D
 from tests.helpers import PerCallEngine, ScalarOracleEngine
 
@@ -176,6 +177,75 @@ def test_detection_disabled_bit_identity(rng):
     assert _stats_snapshot(oracle) == _stats_snapshot(batched)
 
 
+@pytest.mark.parametrize("channel_group,in_channels", [(1, 6), (3, 7)])
+@pytest.mark.parametrize("switch", ["reuse_forward", "stoppage"])
+def test_detection_off_is_the_exact_gemm(rng, channel_group, in_channels,
+                                         switch):
+    """A conv whose detection is off — by config or by §III-D stoppage —
+    computes exactly the product of the exact engine and the engine-less
+    layer, and records the per-call oracle's statistics."""
+    if switch == "reuse_forward":
+        overrides = dict(reuse_forward=False)
+    else:
+        overrides = dict(adaptive_stoppage=True, stoppage_batches=1)
+    oracle, batched = _paired_engines(conv_channel_group=channel_group,
+                                      **overrides)
+    x = rng.normal(size=(3, in_channels, 10, 10))
+
+    def conv_on(engine):
+        conv = Conv2D(in_channels, 5, 3, padding=1, seed=11)
+        conv.engine = engine
+        return conv
+
+    outputs = {}
+    for engine in (oracle, batched):
+        conv = conv_on(engine)
+        if switch == "stoppage":
+            # One costly detection-on batch switches the layer off.
+            conv.forward(x)
+            engine.end_iteration()
+            assert not engine.stoppage.is_enabled_for(conv.layer_name,
+                                                      "forward")
+        outputs[engine] = conv.forward(x)
+    exact = conv_on(ExactCountingEngine()).forward(x)
+    plain = conv_on(None).forward(x)
+    np.testing.assert_array_equal(outputs[batched], exact)
+    np.testing.assert_array_equal(outputs[batched], plain)
+    np.testing.assert_array_equal(outputs[oracle], exact)
+    assert _stats_snapshot(oracle) == _stats_snapshot(batched)
+    assert (oracle.stats.get(conv.layer_name, "forward")
+            == batched.stats.get(conv.layer_name, "forward"))
+
+
+def test_engine_without_matmul_groups_gets_one_call_per_group(rng):
+    """Engines with a channel group but no ``matmul_groups`` (the serving
+    engine) get one ``matmul`` per group, summed from zeros."""
+
+    class RecordingEngine:
+        config = MercuryConfig(conv_channel_group=3)
+
+        def __init__(self):
+            self.widths = []
+
+        def matmul(self, vectors, weights, *, layer, phase="forward"):
+            self.widths.append(vectors.shape[1])
+            return vectors @ weights
+
+    engine = RecordingEngine()
+    conv = Conv2D(7, 5, 3, padding=1, seed=11)
+    conv.engine = engine
+    x = rng.normal(size=(2, 7, 6, 6))
+    out = conv.forward(x)
+    assert engine.widths == [27, 27, 9]
+    cols = im2col(x, 3, 3, 1, 1)
+    weights = conv.weight.value.reshape(5, -1).T
+    expected = np.zeros((len(cols), 5))
+    for lo in (0, 27, 54):
+        expected += cols[:, lo:lo + 27] @ weights[lo:lo + 27]
+    np.testing.assert_array_equal(
+        out, expected.reshape(2, 6, 6, 5).transpose(0, 3, 1, 2))
+
+
 def test_full_model_training_step_bit_identity(rng):
     """A whole squeezenet forward/backward is unchanged by batching."""
     from repro.nn.losses import CrossEntropyLoss
@@ -208,16 +278,19 @@ def test_matmul_groups_backward_falls_back(rng):
     """Backward-phase group calls delegate to the per-call path."""
     engine = ReuseEngine(MercuryConfig(adaptive_signature_length=False,
                                        adaptive_stoppage=False))
-    vectors = [rng.normal(size=(6, 5)), rng.normal(size=(6, 5))]
-    weights = [rng.normal(size=(5, 3)), rng.normal(size=(5, 3))]
-    grouped = engine.matmul_groups(vectors, weights, layer="L",
+    vectors = rng.normal(size=(6, 10))
+    weights = rng.normal(size=(10, 3))
+    grouped = engine.matmul_groups(vectors, weights, 5, layer="L",
                                    phase="backward")
     reference = ReuseEngine(MercuryConfig(adaptive_signature_length=False,
                                           adaptive_stoppage=False))
-    singles = [reference.matmul(v, w, layer="L", phase="backward")
-               for v, w in zip(vectors, weights)]
-    for left, right in zip(grouped, singles):
-        np.testing.assert_array_equal(left, right)
+    summed = np.zeros((6, 3))
+    for lo in (0, 5):
+        summed += reference.matmul(vectors[:, lo:lo + 5],
+                                   weights[lo:lo + 5], layer="L",
+                                   phase="backward")
+    np.testing.assert_array_equal(grouped, summed)
+    assert _stats_snapshot(engine) == _stats_snapshot(reference)
 
 
 def test_flash_clears_count_one_per_fresh_mcache(rng):
@@ -228,7 +301,6 @@ def test_flash_clears_count_one_per_fresh_mcache(rng):
     for _ in range(3):
         engine.matmul(rng.normal(size=(6, 5)), rng.normal(size=(5, 3)),
                       layer="L")
-    engine.matmul_groups([rng.normal(size=(6, 5)) for _ in range(2)],
-                         [rng.normal(size=(5, 3)) for _ in range(2)],
-                         layer="G")
+    engine.matmul_groups(rng.normal(size=(6, 10)), rng.normal(size=(10, 3)),
+                         5, layer="G")
     assert engine.session.clears == 5
