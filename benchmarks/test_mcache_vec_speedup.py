@@ -1,10 +1,12 @@
-"""Microbenchmark: batch MCACHE engine vs the scalar oracle.
+"""Microbenchmark: vectorized Hitmap classification vs the scalar oracle.
 
 Replays the signature trace of one VGG-13 convolution layer (the
 112x112 conv2 stage at paper scale: 12,544 extracted 3x3 input vectors,
-hashed with the default 20-bit RPQ) through both MCACHE models and
-checks that the vectorized engine is at least 5x faster while producing
-bit-identical Hitmap decisions.
+hashed with the default 20-bit RPQ) through the production fresh-cache
+classifier (:func:`repro.core.hitmap_sim.simulate_hitmap`) and the
+line-level scalar MCACHE in ``tests/oracles.py``, and checks that the
+vectorized path is at least 5x faster while producing bit-identical
+Hitmap decisions.
 """
 
 import time
@@ -12,10 +14,10 @@ import time
 import numpy as np
 
 from benchmarks.harness import print_header
-from repro.core.mcache import MCache
-from repro.core.mcache_vec import VectorizedMCache
+from repro.core.hitmap_sim import simulate_hitmap
 from repro.core.rpq import RPQHasher
 from repro.nn.im2col import im2col
+from tests.oracles import MCache
 
 # VGG-13 conv2: 112x112 output positions, 3x3 kernels (workloads.py).
 SPATIAL = 112
@@ -48,8 +50,8 @@ def scalar_replay(trace: np.ndarray):
 
 def run_benchmark():
     trace = vgg13_conv_trace()
-    vectorized = VectorizedMCache(entries=ENTRIES, ways=WAYS)
-    vectorized.simulate(trace)  # warm-up (allocations, caches)
+    num_sets = ENTRIES // WAYS
+    simulate_hitmap(trace, num_sets, WAYS)  # warm-up (allocations, caches)
 
     start = time.perf_counter()
     scalar_states, scalar_stats = scalar_replay(trace)
@@ -58,7 +60,7 @@ def run_benchmark():
     vectorized_seconds = float("inf")
     for _ in range(5):
         start = time.perf_counter()
-        simulation = vectorized.simulate(trace)
+        simulation = simulate_hitmap(trace, num_sets, WAYS)
         vectorized_seconds = min(vectorized_seconds,
                                  time.perf_counter() - start)
 

@@ -25,9 +25,6 @@ class MercuryConfig:
     # --- MCACHE ---------------------------------------------------------
     mcache_entries: int = 1024
     mcache_ways: int = 16
-    # Number of data versions per line (asynchronous design keeps one
-    # version per in-flight filter); the synchronous design uses 1.
-    mcache_versions: int = 1
 
     # --- Adaptation (§III-D) ---------------------------------------------
     # Increase signature length by one bit when the running loss changes

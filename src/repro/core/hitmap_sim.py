@@ -1,9 +1,9 @@
 """Vectorised simulation of the signature phase.
 
-The object-level :class:`~repro.core.mcache.MCache` models the hardware
-structure line by line; probing it once per vector from Python is exact
-but slow for the tens of thousands of vectors a convolution layer
-produces.  ``simulate_hitmap`` reproduces the *same* HIT / MAU / MNU
+The line-level scalar MCACHE (the oracle in ``tests/oracles.py``)
+models the hardware structure line by line; probing it once per vector
+from Python is exact but slow for the tens of thousands of vectors a
+convolution layer produces.  ``simulate_hitmap`` reproduces the *same* HIT / MAU / MNU
 decisions (the test suite checks equivalence against the line-level
 model) using numpy group-by operations:
 

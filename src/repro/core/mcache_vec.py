@@ -1,19 +1,20 @@
-"""Vectorized batch MCACHE.
+"""Vectorized batch MCACHE: the signature (tag) store.
 
-:class:`VectorizedMCache` is a drop-in, array-backed implementation of
-the signature-indexed result cache in :mod:`repro.core.mcache`.  Where
-the scalar :class:`~repro.core.mcache.MCache` models the hardware line
-by line (one Python loop iteration per probe), this engine keeps the
-tag / Valid-Tag / Valid-Data state as dense numpy arrays over the
-``(set, way)`` grid and services a whole batch of probes with sort-based
-group-by operations, the same technique as
+:class:`VectorizedMCache` is the array-backed MCACHE every production
+path probes.  It keeps the tag / Valid-Tag state as dense numpy arrays
+over the ``(set, way)`` grid and services a whole batch of probes with
+sort-based group-by operations, the same technique as
 :func:`repro.core.hitmap_sim.simulate_hitmap` but against *persistent*
-cache state.
+cache state.  It stores tags only: the paper's per-line result data
+(Valid-Data bits, one version per in-flight filter) is held elsewhere —
+by the ride's row map in training and by
+:class:`~repro.core.session.ReuseSession`'s dense result store in
+serving.
 
-The two implementations are bit-identical by construction and by test:
+The line-level scalar model in ``tests/oracles.py`` is the oracle:
 ``tests/test_mcache_differential.py`` replays randomized traces through
-both and asserts equal Hitmap states, entry ids, stats counters and
-data-phase contents.  The scalar model stays in the tree as the oracle.
+both and asserts equal Hitmap states, entry ids, occupancy and stats
+counters.
 
 Batch semantics match a sequential replay of the trace:
 
@@ -25,10 +26,10 @@ Batch semantics match a sequential replay of the trace:
 * every occurrence of a new signature whose set was already full at its
   first occurrence is MNU — no replacement (§III-B3, Figure 9).
 
-Because Valid-Tag bits are only ever cleared by a full :meth:`clear`
-(``invalidate_data`` flash-clears VD bits only), the occupied ways of a
-set are always a prefix ``0..occupancy-1``, which is what lets the
-batch insert compute way indices arithmetically.
+Because Valid-Tag bits are only ever cleared by a full :meth:`clear`,
+and :meth:`replace_line` reuses a valid line in place, the occupied
+ways of a set are always a prefix ``0..occupancy-1``, which is what
+lets the batch insert compute way indices arithmetically.
 
 Signatures wider than 62 bits — reachable through adaptive signature
 growth — arrive in the multi-word ``(n_vectors, n_words)`` ``uint64``
@@ -43,14 +44,35 @@ int64/multi-word traces included.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.core.hitmap import CODE_TO_STATE, HIT_CODE, HitState
-from repro.core.hitmap_sim import (HitmapSimulation, signature_sets,
-                                   simulate_hitmap)
-from repro.core.mcache import MCacheStats
+from repro.core.hitmap_sim import signature_sets
 from repro.core.rpq import (coerce_packed, packed_signatures, pad_words,
                             signature_words, unique_signatures)
+
+
+@dataclass
+class MCacheStats:
+    """Access counters for characterisation (Figure 15a)."""
+
+    hits: int = 0
+    mau: int = 0
+    mnu: int = 0
+    # Lines recycled by a replacement policy (persistent serving
+    # sessions only; the paper's no-replacement model never evicts).
+    evictions: int = 0
+
+    @property
+    def accesses(self) -> int:
+        return self.hits + self.mau + self.mnu
+
+    def as_fractions(self) -> dict:
+        total = max(self.accesses, 1)
+        return {"HIT": self.hits / total, "MAU": self.mau / total,
+                "MNU": self.mnu / total}
 
 
 def rank_within_groups(sorted_keys: np.ndarray) -> np.ndarray:
@@ -71,21 +93,19 @@ def rank_within_groups(sorted_keys: np.ndarray) -> np.ndarray:
 
 
 class VectorizedMCache:
-    """Set-associative, no-replacement cache with batch probe/insert.
+    """Set-associative, no-replacement tag store with batch probe/insert.
 
-    Parameters mirror :class:`~repro.core.mcache.MCache`: ``entries``
-    total lines, ``ways`` associativity and ``versions`` data slots per
-    line.
+    ``entries`` total lines at ``ways`` associativity; ``entries`` must
+    be divisible by ``ways``.
     """
 
-    def __init__(self, entries: int = 1024, ways: int = 16, versions: int = 1):
-        if entries <= 0 or ways <= 0 or versions <= 0:
-            raise ValueError("entries, ways and versions must be positive")
+    def __init__(self, entries: int = 1024, ways: int = 16):
+        if entries <= 0 or ways <= 0:
+            raise ValueError("entries and ways must be positive")
         if entries % ways != 0:
             raise ValueError("entries must be divisible by ways")
         self.entries = entries
         self.ways = ways
-        self.versions = versions
         self.num_sets = entries // ways
         self.stats = MCacheStats()
         self._tags = np.zeros((self.num_sets, ways), dtype=np.int64)
@@ -96,30 +116,14 @@ class VectorizedMCache:
         self._valid_tag = np.zeros((self.num_sets, ways), dtype=bool)
         self._line_entry = np.full((self.num_sets, ways), -1, dtype=np.int64)
         self._occupancy = np.zeros(self.num_sets, dtype=np.int64)
-        self._valid_data = np.zeros((self.num_sets, ways, versions), dtype=bool)
-        # Object grid of stored payloads.  Exercised only by the direct
-        # data-phase API and the differential suite; the serving hot
-        # path keeps results in the session's dense store instead.
-        self._data = np.empty((self.num_sets, ways, versions), dtype=object)
-        # entry_id -> (set, way); entry ids are dense 0..N-1 so plain
-        # arrays indexed by id replace the scalar model's dict.
+        # entry_id -> (set, way) of every issued id (dense 0..N-1); the
+        # session's entry-order snapshot reads placements from these.
         self._entry_set = np.empty(0, dtype=np.int64)
         self._entry_way = np.empty(0, dtype=np.int64)
         self._next_entry_id = 0
-        # False while every array is in its cleared state, making the
-        # per-layer ``clear`` on the simulate hot path free.
+        # False while every array is in its cleared state, making a
+        # ``clear`` of a clean cache free.
         self._dirty = False
-
-    # ------------------------------------------------------------------
-    # Indexing (same split as the scalar model)
-    # ------------------------------------------------------------------
-    def set_index(self, signature: int) -> int:
-        """Cache set for a signature (low-order bits)."""
-        return signature % self.num_sets
-
-    def tag(self, signature: int) -> int:
-        """Tag portion of a signature (remaining high-order bits)."""
-        return signature // self.num_sets
 
     # ------------------------------------------------------------------
     # Representation management
@@ -380,12 +384,13 @@ class VectorizedMCache:
         """Evict the resident of ``(set, way)`` and hand its line to
         ``signature``; returns the new owner's entry id.
 
-        The replacement-policy hook: the victim's tag is overwritten,
-        its data slots are invalidated (stale rows must not survive the
-        new owner), and a fresh dense entry id is appended — the
-        victim's id is orphaned, which is behaviourally invisible
-        because probes resolve ids through ``_line_entry``.  Occupancy
-        is unchanged, so the valid-way prefix invariant that the batch
+        The replacement-policy hook: the victim's tag is overwritten
+        and a fresh dense entry id is appended — the victim's id is
+        orphaned, which is behaviourally invisible because probes
+        resolve ids through ``_line_entry``, and the session's result
+        store, keyed by entry id, holds no row for the new id, so the
+        victim's rows cannot be served to the new owner.  Occupancy is
+        unchanged, so the valid-way prefix invariant that the batch
         insert relies on still holds.
         """
         if not 0 <= set_index < self.num_sets or not 0 <= way < self.ways:
@@ -401,105 +406,12 @@ class VectorizedMCache:
                          np.array([set_index]), np.array([way]))
         new_id = self._next_entry_id
         self._line_entry[set_index, way] = new_id
-        self._valid_data[set_index, way, :] = False
-        self._data[set_index, way, :] = None
         self._entry_set = np.append(self._entry_set, set_index)
         self._entry_way = np.append(self._entry_way, way)
         self._next_entry_id += 1
         self.stats.evictions += 1
         self._dirty = True
         return new_id
-
-    # ------------------------------------------------------------------
-    # Hitmap simulation (fresh cache, one batch — the reuse-engine path)
-    # ------------------------------------------------------------------
-    def simulate(self, signatures) -> HitmapSimulation:
-        """Clear the cache, replay one batch and return its Hitmap.
-
-        Produces the same :class:`HitmapSimulation` as
-        :func:`repro.core.hitmap_sim.simulate_hitmap` for the same
-        geometry; access counters accumulate in :attr:`stats` across
-        calls.  Because the replay starts from (and returns to) an empty
-        cache — the reuse engine's freshly-cleared-MCACHE-per-layer
-        semantics — the classification is exactly the stateless group-by
-        simulation, so this hot path skips the persistent probe/insert
-        machinery entirely: no tag writes, no entry-id bookkeeping, and
-        ``clear`` is a no-op while the cache is already clean.
-        """
-        self.clear()
-        simulation = simulate_hitmap(signatures, num_sets=self.num_sets,
-                                     ways=self.ways)
-        self.stats.hits += simulation.hits
-        self.stats.mau += simulation.mau
-        self.stats.mnu += simulation.mnu
-        return simulation
-
-    # ------------------------------------------------------------------
-    # Data phase — batched VD-bit bookkeeping
-    # ------------------------------------------------------------------
-    def _locate(self, entry_ids) -> tuple[np.ndarray, np.ndarray]:
-        ids = np.atleast_1d(np.asarray(entry_ids, dtype=np.int64))
-        if len(ids) and ((ids < 0).any() or (ids >= self._next_entry_id).any()):
-            bad = ids[(ids < 0) | (ids >= self._next_entry_id)][0]
-            raise KeyError(f"unknown MCACHE entry id {int(bad)}")
-        return self._entry_set[ids], self._entry_way[ids]
-
-    def _check_version(self, version: int) -> None:
-        if not 0 <= version < self.versions:
-            raise IndexError(f"version {version} out of range")
-
-    def write_data_batch(self, entry_ids, values, version: int = 0) -> None:
-        """Store one computed result per entry id and set its VD bit."""
-        self._check_version(version)
-        sets, ways = self._locate(entry_ids)
-        self._data[sets, ways, version] = values
-        self._valid_data[sets, ways, version] = True
-        self._dirty = True
-        self.stats.data_writes += len(sets)
-
-    def read_data_batch(self, entry_ids, version: int = 0) -> np.ndarray:
-        """Fetch previously stored results; raises if any VD bit is unset."""
-        self._check_version(version)
-        sets, ways = self._locate(entry_ids)
-        valid = self._valid_data[sets, ways, version]
-        if not valid.all():
-            bad = np.atleast_1d(np.asarray(entry_ids))[~valid][0]
-            raise LookupError(
-                f"entry {int(bad)} version {version} has no valid data")
-        self.stats.data_reads += len(sets)
-        return self._data[sets, ways, version]
-
-    def has_data_batch(self, entry_ids, version: int = 0) -> np.ndarray:
-        self._check_version(version)
-        sets, ways = self._locate(entry_ids)
-        return self._valid_data[sets, ways, version]
-
-    def write_data(self, entry_id: int, value, version: int = 0) -> None:
-        self._check_version(version)
-        sets, ways = self._locate([entry_id])
-        self._data[sets[0], ways[0], version] = value
-        self._valid_data[sets[0], ways[0], version] = True
-        self._dirty = True
-        self.stats.data_writes += 1
-
-    def read_data(self, entry_id: int, version: int = 0):
-        return self.read_data_batch([entry_id], version=version)[0]
-
-    def has_data(self, entry_id: int, version: int = 0) -> bool:
-        return bool(self.has_data_batch([entry_id], version=version)[0])
-
-    # ------------------------------------------------------------------
-    # Invalidation
-    # ------------------------------------------------------------------
-    def invalidate_data(self, version: int | None = None) -> None:
-        """Flash-clear VD bits (tags stay valid) — synchronous design."""
-        if version is None:
-            self._valid_data[:] = False
-            self._data[:] = None
-        else:
-            self._check_version(version)
-            self._valid_data[:, :, version] = False
-            self._data[:, :, version] = None
 
     def clear(self) -> None:
         """Full reset (new channel / new set of input vectors)."""
@@ -510,8 +422,6 @@ class VectorizedMCache:
         self._tag_words = None
         self._line_entry[:] = -1
         self._occupancy[:] = 0
-        self._valid_data[:] = False
-        self._data[:] = None
         self._entry_set = np.empty(0, dtype=np.int64)
         self._entry_way = np.empty(0, dtype=np.int64)
         self._next_entry_id = 0
@@ -521,9 +431,6 @@ class VectorizedMCache:
         """Number of lines with a valid tag."""
         return int(self._valid_tag.sum())
 
-    def utilization(self) -> float:
-        return self.occupancy() / self.entries
-
     def __repr__(self) -> str:  # pragma: no cover
         return (f"VectorizedMCache(entries={self.entries}, ways={self.ways}, "
-                f"versions={self.versions}, occupancy={self.occupancy()})")
+                f"occupancy={self.occupancy()})")

@@ -91,8 +91,7 @@ class ReuseEngine:
                           ways=self.config.mcache_ways,
                           exact_check=False,
                           rpq_seed=self.config.rpq_seed),
-            hasher=self.hasher, persistent=False,
-            versions=self.config.mcache_versions)
+            hasher=self.hasher, persistent=False)
         self.mcache = self.session.mcache
         # Last Hitmap simulation per (layer, phase), exposed for tests
         # and for the accelerator simulator (call ``.to_hitmap()`` for a

@@ -51,7 +51,7 @@ import numpy as np
 from repro.core.eviction import EVICTION_POLICIES, build_eviction_state
 from repro.core.hitmap import HIT_CODE, MAU_CODE, MNU_CODE
 from repro.core.hitmap_sim import (HitmapSimulation, signature_sets,
-                                   simulate_hitmap_grouped)
+                                   simulate_hitmap, simulate_hitmap_grouped)
 from repro.core.mcache_vec import VectorizedMCache
 from repro.core.rpq import RPQHasher, unique_signatures
 
@@ -63,8 +63,9 @@ RIDE_BLOCK_BYTES = 1 << 16
 
 #: Version of the :meth:`ReuseSession.state_dict` layout.  Bump when the
 #: array/meta contract changes; ``load_state_dict`` rejects mismatches.
-#: Version 2 added the ``layout`` key and the eviction metadata arrays.
-STATE_VERSION = 2
+#: Version 2 added the ``layout`` key and the eviction metadata arrays;
+#: version 3 dropped ``data_reads``/``data_writes`` from ``mcache_stats``.
+STATE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -214,21 +215,22 @@ class ReuseSession:
     """One signature→result reuse step, flash-clear or persistent.
 
     One instance serves one stream of equal-length vectors (a request
-    payload shape, or one layer's input vectors).  Probing, admission
-    and the result store ride on the persistent batch machinery of
+    payload shape, or one layer's input vectors).  Probing and admission
+    ride on the persistent batch tag store of
     :class:`~repro.core.mcache_vec.VectorizedMCache`
-    (``lookup_or_insert_batch`` + the data phase), so capacity behaves
+    (``lookup_or_insert_batch`` / ``probe_batch``), so capacity behaves
     exactly like the hardware structure: set-associative, no
-    replacement.
+    replacement.  Result rows live in the session's own dense store,
+    indexed by MCACHE entry id.
     """
 
     def __init__(self, policy: SessionPolicy, hasher: RPQHasher | None = None,
-                 *, persistent: bool = True, versions: int = 1):
+                 *, persistent: bool = True):
         self.policy = policy
         self.hasher = hasher or RPQHasher(seed=policy.rpq_seed)
         self.persistent = persistent
         self.mcache = VectorizedMCache(entries=policy.entries,
-                                       ways=policy.ways, versions=versions)
+                                       ways=policy.ways)
         self.num_sets = self.mcache.num_sets
         if policy.eviction != "none" and not persistent:
             raise ValueError("eviction policies require a persistent "
@@ -252,13 +254,12 @@ class ReuseSession:
         # sweep rows stay reproducible).
         self._seen: dict = {}
         self._seen_capacity = max(4 * policy.entries, 1024)
-        # Dense result store, indexed by MCACHE entry id: the serving
-        # hot path's replacement for the object grid inside the batch
-        # MCACHE (which stays as the differential suite's data-phase
-        # model).  ``_store_rows`` holds the cached result rows,
-        # ``_store_payloads`` the exact-check input payloads; both are
-        # allocated on first write because the row width is only known
-        # then (one session serves one stream of equal-length vectors).
+        # Dense result store, indexed by MCACHE entry id: the data half
+        # of the paper's MCACHE line.  ``_store_rows`` holds the cached
+        # result rows, ``_store_payloads`` the exact-check input
+        # payloads; both are allocated on first write because the row
+        # width is only known then (one session serves one stream of
+        # equal-length vectors).
         self._store_valid = np.empty(0, dtype=bool)
         self._store_rows: np.ndarray | None = None
         self._store_payloads: np.ndarray | None = None
@@ -271,10 +272,14 @@ class ReuseSession:
 
         The batch probes a freshly-cleared MCACHE — one flash clear,
         counted in :attr:`clears`; access counters accumulate in
-        ``self.mcache.stats`` across calls.
+        ``self.mcache.stats`` across calls.  A fresh cache makes the
+        classification exactly the stateless group-by simulation, so
+        the persistent tag store is never written.
         """
-        self.clears += 1
-        return self.mcache.simulate(signatures)
+        simulation = simulate_hitmap(signatures, num_sets=self.num_sets,
+                                     ways=self.policy.ways)
+        self._tally_flash((simulation,))
+        return simulation
 
     def classify_groups(self, signature_groups) -> list[HitmapSimulation]:
         """One Hitmap per group, each against its own fresh MCACHE.
@@ -294,16 +299,19 @@ class ReuseSession:
         simulations = simulate_hitmap_grouped(
             stacked, [len(sigs) for sigs in signature_groups],
             num_sets=self.num_sets, ways=self.policy.ways)
-        # Mirror the per-call path's "clear, replay, accumulate
-        # counters" so the batch MCACHE's stats characterise the run
-        # identically.
-        self.clears += len(simulations)
-        self.mcache.clear()
-        for simulation in simulations:
-            self.mcache.stats.hits += simulation.hits
-            self.mcache.stats.mau += simulation.mau
-            self.mcache.stats.mnu += simulation.mnu
+        self._tally_flash(simulations)
         return simulations
+
+    def _tally_flash(self, simulations) -> None:
+        """Count one flash clear per Hitmap and add its access counters
+        to ``self.mcache.stats``, so the counters characterise the run
+        (Figure 15a)."""
+        self.clears += len(simulations)
+        stats = self.mcache.stats
+        for simulation in simulations:
+            stats.hits += simulation.hits
+            stats.mau += simulation.mau
+            stats.mnu += simulation.mnu
 
     @staticmethod
     def ride(vectors: np.ndarray, weights: np.ndarray,

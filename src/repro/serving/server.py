@@ -69,9 +69,10 @@ from repro.serving.router import (ConsistentHashRing, HotKeyTracker,
                                   signature_key)
 
 SNAPSHOT_FORMAT = "repro-serving-snapshot"
-# Version 2: the session state layout gained the eviction metadata
-# (repro.core.session.STATE_VERSION 2).
-SNAPSHOT_VERSION = 2
+# Tracks the session state layout (repro.core.session.STATE_VERSION):
+# version 2 gained the eviction metadata, version 3 dropped the
+# data-phase counters from ``mcache_stats``.
+SNAPSHOT_VERSION = 3
 SNAPSHOT_MANIFEST = "manifest.json"
 SNAPSHOT_ARRAYS = "state.npz"
 

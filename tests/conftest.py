@@ -49,23 +49,6 @@ def make_trace():
     return make
 
 
-# A spread of MCACHE geometries: direct-mapped, the paper default shape
-# scaled down, high associativity, and multi-version (asynchronous
-# design) variants.
-MCACHE_GEOMETRIES = [
-    pytest.param((16, 1, 1), id="direct-mapped"),
-    pytest.param((64, 4, 1), id="4-way"),
-    pytest.param((32, 16, 1), id="16-way"),
-    pytest.param((8, 2, 3), id="2-way-3-versions"),
-]
-
-
-@pytest.fixture(params=MCACHE_GEOMETRIES)
-def mcache_geometry(request) -> tuple[int, int, int]:
-    """(entries, ways, versions) triples shared by the cache suites."""
-    return request.param
-
-
 @pytest.fixture(params=[
     pytest.param({"signature_bits": 12, "mcache_entries": 64,
                   "mcache_ways": 4}, id="small-cache"),

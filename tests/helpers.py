@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import MercuryConfig
-from repro.core.differential import scalar_reference_simulation
 from repro.core.hitmap import HIT_CODE
 from repro.core.hitmap_sim import HitmapSimulation
 from repro.core.reuse import ReuseEngine
 from repro.core.session import ReuseSession
+from tests.oracles import scalar_reference_simulation
 
 
 def numerical_gradient(func, array: np.ndarray, epsilon: float = 1e-5) -> np.ndarray:
@@ -99,8 +99,7 @@ class PerCallEngine(ReuseEngine):
     def __init__(self, config: MercuryConfig | None = None):
         super().__init__(config)
         self.session = self.session_class(
-            self.session.policy, hasher=self.hasher, persistent=False,
-            versions=self.config.mcache_versions)
+            self.session.policy, hasher=self.hasher, persistent=False)
         self.mcache = self.session.mcache
 
     def matmul_groups(self, vectors, weights, width, *, layer: str,

@@ -31,15 +31,14 @@ from hypothesis import strategies as st
 
 from repro.core import session as session_module
 from repro.core.config import MercuryConfig
-from repro.core.differential import scalar_reference_simulation
 from repro.core.hitmap import CODE_TO_STATE, HIT_CODE, MAU_CODE, MNU_CODE
 from repro.core.hitmap_sim import simulate_hitmap, simulate_hitmap_grouped
-from repro.core.mcache import MCache
 from repro.core.reuse import ReuseEngine
 from repro.core.rpq import ints_to_words, unique_signatures
 from repro.core.session import ReuseSession, SessionPolicy
 from repro.nn.layers.conv import Conv2D
 from tests.helpers import masked_ride, masked_ride_groups
+from tests.oracles import MCache, scalar_reference_simulation
 
 
 def _enum_oracle_codes(trace, entries: int, ways: int) -> list[int]:

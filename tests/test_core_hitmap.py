@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.hitmap import (HIT_CODE, Hitmap, HitState, MAU_CODE,
                                MNU_CODE)
 from repro.core.hitmap_sim import simulate_hitmap
-from repro.core.mcache import MCache
+from tests.oracles import MCache
 
 
 # ----------------------------------------------------------------------
@@ -93,6 +93,7 @@ def test_simulate_empty():
 def test_simulate_to_hitmap():
     sim = simulate_hitmap(np.array([5, 5, 6]), num_sets=2, ways=2)
     hitmap = sim.to_hitmap()
+    assert hitmap.is_complete()
     assert hitmap.get(1) is HitState.HIT
     assert hitmap.source(1) == 0
     assert hitmap.hit_fraction() == pytest.approx(1 / 3)

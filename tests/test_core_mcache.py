@@ -1,12 +1,11 @@
-"""Tests for the MCACHE structure."""
+"""Tests for the line-level MCACHE oracle."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hitmap import HitState
-from repro.core.mcache import MCache
+from tests.oracles import MCache
 
 
 def test_geometry_validation():
@@ -48,39 +47,6 @@ def test_probe_does_not_insert():
     assert cache.occupancy() == 1
 
 
-def test_data_write_read_and_valid_bits():
-    cache = MCache(entries=8, ways=2)
-    _, entry = cache.lookup_or_insert(7)
-    assert not cache.has_data(entry)
-    with pytest.raises(LookupError):
-        cache.read_data(entry)
-    cache.write_data(entry, 3.14)
-    assert cache.has_data(entry)
-    assert cache.read_data(entry) == 3.14
-
-
-def test_multi_version_data():
-    cache = MCache(entries=8, ways=2, versions=3)
-    _, entry = cache.lookup_or_insert(9)
-    cache.write_data(entry, "filter0", version=0)
-    cache.write_data(entry, "filter2", version=2)
-    assert cache.read_data(entry, version=2) == "filter2"
-    assert not cache.has_data(entry, version=1)
-    with pytest.raises(IndexError):
-        cache.write_data(entry, "x", version=3)
-
-
-def test_invalidate_data_keeps_tags():
-    cache = MCache(entries=8, ways=2)
-    _, entry = cache.lookup_or_insert(11)
-    cache.write_data(entry, 1.0)
-    cache.invalidate_data()
-    # Tag still present (signature phase result preserved)...
-    assert cache.lookup_or_insert(11)[0] is HitState.HIT
-    # ...but the data has to be recomputed.
-    assert not cache.has_data(entry)
-
-
 def test_clear_resets_everything():
     cache = MCache(entries=8, ways=2)
     cache.lookup_or_insert(1)
@@ -100,13 +66,6 @@ def test_stats_counters():
     assert cache.stats.mnu == 1
     fractions = cache.stats.as_fractions()
     assert abs(sum(fractions.values()) - 1.0) < 1e-9
-
-
-def test_utilization():
-    cache = MCache(entries=8, ways=2)
-    assert cache.utilization() == 0.0
-    cache.lookup_or_insert(3)
-    assert cache.utilization() == 1 / 8
 
 
 @settings(deadline=None, max_examples=25)

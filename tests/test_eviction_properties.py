@@ -15,6 +15,8 @@ Two layers of evidence that the O(1) intrusive-list eviction structures
   serialized ``state_arrays`` must be byte-identical.  The same
   lockstep runs end-to-end at session level by injecting the reference
   evictor into a :class:`~repro.serving.engine.SignatureResultCache`.
+
+The reference implementations live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core.eviction import (EVICTION_POLICIES, build_eviction_state)
 from repro.serving import ServingPolicy, SignatureResultCache
+from tests.oracles import REFERENCE_EVICTORS
 
 REPLACEMENT = [p for p in EVICTION_POLICIES if p != "none"]
 
@@ -96,8 +99,7 @@ def test_fast_structures_match_reference_bit_for_bit(trace):
     """The differential oracle: victims and serialized state agree."""
     policy, num_sets, ways, ops = trace
     fast = build_eviction_state(policy, num_sets, ways)
-    reference = build_eviction_state(policy, num_sets, ways,
-                                     reference=True)
+    reference = REFERENCE_EVICTORS[policy](num_sets, ways)
     fast_victims = _replay(fast, ops, ways)
     reference_victims = _replay(reference, ops, ways)
     assert fast_victims == reference_victims
@@ -224,8 +226,8 @@ def _session(eviction: str, entries: int, ways: int, reference: bool):
                            signature_bits=16, eviction=eviction)
     cache = SignatureResultCache(policy)
     if reference:
-        cache._evictor = build_eviction_state(
-            eviction, cache.num_sets, policy.ways, reference=True)
+        cache._evictor = REFERENCE_EVICTORS[eviction](cache.num_sets,
+                                                      policy.ways)
     return cache
 
 

@@ -19,12 +19,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.differential import scalar_reference_simulation
 from repro.core.hitmap import HIT_CODE, MAU_CODE, MNU_CODE
 from repro.core.hitmap_sim import (classify_runs, simulate_hitmap,
                                    simulate_hitmap_grouped, stable_runs,
                                    tagged_runs)
 from repro.core.rpq import ints_to_words
+from tests.oracles import scalar_reference_simulation
 
 # kind -> (smallest, largest) signature value drawn.
 VALUE_RANGES = {

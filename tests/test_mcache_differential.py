@@ -1,11 +1,12 @@
-"""Differential tests: scalar MCACHE oracle vs the vectorized engine.
+"""Differential tests: scalar MCACHE oracle vs the production paths.
 
-The scalar :class:`~repro.core.mcache.MCache` is the reference model;
-every test replays a trace through it and through
-:class:`~repro.core.mcache_vec.VectorizedMCache` (or through
-``ReuseEngine`` against the scalar-oracle engine) and requires
-bit-identical Hitmap states, representatives, entry ids, stats counters
-and data-phase contents.
+The scalar ``MCache`` in ``tests/oracles.py`` is the reference model;
+every test replays a trace through it and through the group-by Hitmap
+simulation, the persistent
+:class:`~repro.core.mcache_vec.VectorizedMCache` tag store, or
+``ReuseEngine`` (against the scalar-oracle engine) and requires
+bit-identical Hitmap states, representatives, entry ids, occupancy and
+stats counters.
 """
 
 import numpy as np
@@ -14,14 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import MercuryConfig
-from repro.core.differential import run_differential, \
-    scalar_reference_simulation
 from repro.core.hitmap_sim import simulate_hitmap
-from repro.core.mcache_vec import VectorizedMCache
 from repro.core.reuse import ReuseEngine
 from tests.helpers import ScalarOracleEngine
+from tests.oracles import run_differential, scalar_reference_simulation
 
-GEOMETRIES = [(8, 1, 1), (8, 2, 1), (16, 4, 2), (64, 16, 1), (4, 4, 3)]
+GEOMETRIES = [(8, 1), (8, 2), (16, 4), (64, 16), (4, 4)]
 
 
 def assert_simulations_equal(a, b):
@@ -34,14 +33,12 @@ def assert_simulations_equal(a, b):
 # ----------------------------------------------------------------------
 # Signature phase: fresh-cache simulation equivalence
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("entries,ways,versions", GEOMETRIES)
-def test_simulation_matches_oracle_on_random_traces(entries, ways, versions,
+@pytest.mark.parametrize("entries,ways", GEOMETRIES)
+def test_simulation_matches_oracle_on_random_traces(entries, ways,
                                                     make_trace):
     for seed, pool in ((0, 5), (1, 40), (2, 500)):
         trace = make_trace(300, pool_size=pool, seed=seed)
-        vectorized = VectorizedMCache(entries=entries, ways=ways,
-                                      versions=versions)
-        ours = vectorized.simulate(trace)
+        ours = simulate_hitmap(trace, num_sets=entries // ways, ways=ways)
         oracle = scalar_reference_simulation(trace,
                                              num_sets=entries // ways,
                                              ways=ways)
@@ -52,11 +49,10 @@ def test_simulation_matches_oracle_on_random_traces(entries, ways, versions,
 @given(signatures=st.lists(st.integers(0, 300), max_size=120),
        geometry=st.sampled_from(GEOMETRIES))
 def test_simulation_matches_oracle_property(signatures, geometry):
-    entries, ways, _ = geometry
+    entries, ways = geometry
     trace = np.array(signatures, dtype=np.int64)
-    vectorized = VectorizedMCache(entries=entries, ways=ways)
     assert_simulations_equal(
-        vectorized.simulate(trace),
+        simulate_hitmap(trace, num_sets=entries // ways, ways=ways),
         scalar_reference_simulation(trace, num_sets=entries // ways,
                                     ways=ways))
 
@@ -67,41 +63,29 @@ def test_simulation_matches_oracle_property(signatures, geometry):
        geometry=st.sampled_from(GEOMETRIES))
 def test_persistent_chunked_replay_property(signatures, chunks, geometry):
     """Batched replay against persistent state equals probe-at-a-time."""
-    entries, ways, versions = geometry
+    entries, ways = geometry
     report = run_differential(np.array(signatures), entries=entries,
-                              ways=ways, versions=versions,
-                              chunk_sizes=chunks)
+                              ways=ways, chunk_sizes=chunks)
     assert report.identical, report.describe()
 
 
-# ----------------------------------------------------------------------
-# Data phase and invalidation
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("entries,ways,versions", GEOMETRIES)
-def test_data_phase_differential(entries, ways, versions, make_trace):
+@pytest.mark.parametrize("entries,ways", GEOMETRIES)
+def test_ragged_chunk_replay_differential(entries, ways, make_trace):
+    """Ragged batches against persistent state, a hit-heavy trace."""
     trace = make_trace(400, pool_size=30, seed=5)
     report = run_differential(trace, entries=entries, ways=ways,
-                              versions=versions, chunk_sizes=[7, 31, 2],
-                              data_phase=True)
+                              chunk_sizes=[7, 31, 2])
     assert report.identical, report.describe()
-    assert report.scalar_stats["data_writes"] > 0
+    assert report.scalar_stats["hits"] > 0
 
 
-@pytest.mark.parametrize("entries,ways,versions", GEOMETRIES)
-def test_flash_invalidate_differential(entries, ways, versions, make_trace):
-    """VD bits diverge fastest around invalidation; diff that path hard."""
-    trace = make_trace(500, pool_size=20, seed=6)
-    report = run_differential(trace, entries=entries, ways=ways,
-                              versions=versions, chunk_sizes=[13, 5],
-                              data_phase=True, invalidate_every=2)
-    assert report.identical, report.describe()
-
-
+# ----------------------------------------------------------------------
+# Persistent replay edge cases
+# ----------------------------------------------------------------------
 def test_set_full_no_replacement_differential(make_trace):
     """A pool far larger than the cache keeps every set saturated."""
     report = run_differential(make_trace(600, pool_size=5000, seed=7),
-                              entries=16, ways=2, chunk_sizes=[64],
-                              data_phase=True)
+                              entries=16, ways=2, chunk_sizes=[64])
     assert report.identical, report.describe()
     assert report.scalar_stats["mnu"] > 0
 
@@ -112,7 +96,7 @@ def test_wide_signature_differential():
     trace = np.array([pool[i] for i in rng.integers(0, 40, size=200)],
                      dtype=object)
     report = run_differential(trace, entries=16, ways=2,
-                              chunk_sizes=[9, 30], data_phase=True)
+                              chunk_sizes=[9, 30])
     assert report.identical, report.describe()
 
 

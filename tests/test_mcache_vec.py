@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.hitmap import CODE_TO_STATE, HitState
-from repro.core.hitmap_sim import simulate_hitmap
+from repro.core.hitmap_sim import signature_sets, simulate_hitmap
 from repro.core.mcache_vec import VectorizedMCache
 
 
@@ -13,8 +13,6 @@ def test_geometry_validation():
         VectorizedMCache(entries=100, ways=16)
     with pytest.raises(ValueError):
         VectorizedMCache(entries=0, ways=1)
-    with pytest.raises(ValueError):
-        VectorizedMCache(entries=8, ways=2, versions=0)
     cache = VectorizedMCache(entries=1024, ways=16)
     assert cache.num_sets == 64
 
@@ -56,7 +54,8 @@ def test_empty_batch():
     cache = VectorizedMCache(entries=4, ways=2)
     states, entries = cache.lookup_or_insert_batch([])
     assert len(states) == 0 and len(entries) == 0
-    simulation = cache.simulate([])
+    simulation = simulate_hitmap([], num_sets=cache.num_sets,
+                                 ways=cache.ways)
     assert simulation.unique_signatures == 0
 
 
@@ -70,55 +69,6 @@ def test_probe_does_not_insert():
     present_batch, ids = cache.probe_batch([5, 6])
     assert list(present_batch) == [True, False]
     assert ids[0] == entry and ids[1] == -1
-
-
-def test_data_write_read_and_valid_bits():
-    cache = VectorizedMCache(entries=8, ways=2)
-    _, entry = cache.lookup_or_insert(7)
-    assert not cache.has_data(entry)
-    with pytest.raises(LookupError):
-        cache.read_data(entry)
-    cache.write_data(entry, 3.14)
-    assert cache.has_data(entry)
-    assert cache.read_data(entry) == 3.14
-
-
-def test_batch_data_phase():
-    cache = VectorizedMCache(entries=8, ways=2)
-    states, entries = cache.lookup_or_insert_batch([1, 2, 3])
-    cache.write_data_batch(entries, [10.0, 20.0, 30.0])
-    assert list(cache.read_data_batch(entries)) == [10.0, 20.0, 30.0]
-    assert cache.stats.data_writes == 3
-    assert cache.stats.data_reads == 3
-    with pytest.raises(KeyError):
-        cache.write_data_batch([99], [1.0])
-    with pytest.raises(IndexError):
-        cache.write_data_batch(entries, [0.0] * 3, version=1)
-
-
-def test_multi_version_data():
-    cache = VectorizedMCache(entries=8, ways=2, versions=3)
-    _, entry = cache.lookup_or_insert(9)
-    cache.write_data(entry, "filter0", version=0)
-    cache.write_data(entry, "filter2", version=2)
-    assert cache.read_data(entry, version=2) == "filter2"
-    assert not cache.has_data(entry, version=1)
-    with pytest.raises(IndexError):
-        cache.write_data(entry, "x", version=3)
-
-
-def test_invalidate_data_keeps_tags():
-    cache = VectorizedMCache(entries=8, ways=2, versions=2)
-    _, entry = cache.lookup_or_insert(11)
-    cache.write_data(entry, 1.0, version=0)
-    cache.write_data(entry, 2.0, version=1)
-    cache.invalidate_data(0)
-    assert not cache.has_data(entry, version=0)
-    assert cache.has_data(entry, version=1)
-    cache.invalidate_data()
-    assert not cache.has_data(entry, version=1)
-    # Tag survives the flash invalidate.
-    assert cache.lookup_or_insert(11)[0] is HitState.HIT
 
 
 def test_clear_resets_everything():
@@ -139,38 +89,6 @@ def test_stats_counters():
     assert abs(sum(fractions.values()) - 1.0) < 1e-9
 
 
-def test_utilization():
-    cache = VectorizedMCache(entries=8, ways=2)
-    assert cache.utilization() == 0.0
-    cache.lookup_or_insert(3)
-    assert cache.utilization() == 1 / 8
-
-
-def test_simulate_matches_groupby_simulation(make_trace):
-    trace = make_trace(500, pool_size=80, seed=3)
-    cache = VectorizedMCache(entries=64, ways=4)
-    ours = cache.simulate(trace)
-    reference = simulate_hitmap(trace, num_sets=16, ways=4)
-    assert list(ours.states) == list(reference.states)
-    assert list(ours.representative) == list(reference.representative)
-    assert (ours.hits, ours.mau, ours.mnu, ours.unique_signatures) == \
-        (reference.hits, reference.mau, reference.mnu,
-         reference.unique_signatures)
-    # simulate() clears first, so a second run is identical.
-    again = cache.simulate(trace)
-    assert list(again.states) == list(ours.states)
-
-
-def test_simulate_to_hitmap_round_trip(make_trace):
-    trace = make_trace(100, pool_size=20, seed=4)
-    cache = VectorizedMCache(entries=16, ways=2)
-    hitmap = cache.simulate(trace).to_hitmap()
-    assert hitmap.is_complete()
-    counts = hitmap.counts()
-    assert counts[HitState.HIT] + counts[HitState.MAU] + \
-        counts[HitState.MNU] == 100
-
-
 def test_wide_signatures_promote_to_object():
     cache = VectorizedMCache(entries=4, ways=2)
     # 2 sets x 2 ways; +0/+2/+4 land in set 0, so +4 finds it full.
@@ -189,4 +107,6 @@ def test_negative_signatures_match_python_semantics():
     state, entry = cache.lookup_or_insert(-3)
     assert state is HitState.MAU
     assert cache.lookup_or_insert(-3)[0] is HitState.HIT
-    assert 0 <= cache.set_index(-3) < cache.num_sets
+    set_index = int(signature_sets(np.array([-3]), cache.num_sets)[0])
+    assert 0 <= set_index < cache.num_sets
+    assert cache._valid_tag[set_index].any()

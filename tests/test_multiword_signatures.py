@@ -17,8 +17,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import MercuryConfig
-from repro.core.differential import run_differential, \
-    scalar_reference_simulation
 from repro.core.hitmap import CODE_TO_STATE
 from repro.core.hitmap_sim import simulate_hitmap, simulate_hitmap_grouped
 from repro.core.mcache_vec import VectorizedMCache
@@ -26,6 +24,8 @@ from repro.core.reuse import ReuseEngine
 from repro.core.rpq import (RPQHasher, ints_to_words, signature_words,
                             signatures_to_ints, words_mod)
 from tests.helpers import ScalarOracleEngine
+from tests.oracles import MCache, run_differential, \
+    scalar_reference_simulation
 
 GEOMETRIES = [(8, 1), (8, 2), (16, 4), (64, 16), (4, 4)]
 
@@ -46,9 +46,8 @@ def wide_trace(draw_values, picks):
 @example(values=[(1 << 63) + 7, (1 << 64) - 1, 5, (1 << 90) + 3],
          picks=[0, 1, 0, 2, 3, 1, 0, 2, 3, 3], geometry=(8, 2))
 def test_multiword_simulations_match_oracle(values, picks, geometry):
-    """Fresh-cache Hitmaps of both production paths equal the oracle's,
-    for multi-word rows and for the object ints (mostly >= 2^63) they
-    encode."""
+    """Fresh-cache Hitmaps equal the oracle's, for multi-word rows and
+    for the object ints (mostly >= 2^63) they encode."""
     entries, ways = geometry
     num_sets = entries // ways
     trace_ints = wide_trace(values, picks)
@@ -57,11 +56,8 @@ def test_multiword_simulations_match_oracle(values, picks, geometry):
     oracle = scalar_reference_simulation(trace_ints, num_sets=num_sets,
                                          ways=ways)
     groupby = simulate_hitmap(trace_words, num_sets=num_sets, ways=ways)
-    vectorized = VectorizedMCache(entries=entries, ways=ways).simulate(
-        trace_words)
-
     objects = simulate_hitmap(trace_ints, num_sets=num_sets, ways=ways)
-    for simulation in (groupby, vectorized, objects):
+    for simulation in (groupby, objects):
         assert_matches_oracle(simulation, oracle)
     half = len(trace_ints) // 2
     grouped = simulate_hitmap_grouped(
@@ -88,11 +84,11 @@ def assert_matches_oracle(simulation, oracle):
        geometry=st.sampled_from(GEOMETRIES))
 def test_multiword_persistent_replay_property(values, picks, chunks,
                                               geometry):
-    """Chunked replay against persistent state, data phase included."""
+    """Chunked replay against persistent state."""
     entries, ways = geometry
     trace_words = ints_to_words(wide_trace(values, picks))
     report = run_differential(trace_words, entries=entries, ways=ways,
-                              chunk_sizes=chunks, data_phase=True)
+                              chunk_sizes=chunks)
     assert report.identical, report.describe()
 
 
@@ -116,7 +112,6 @@ def test_mixed_width_trace_promotes_tag_store(narrow, wide, geometry):
     results.append(cache.lookup_or_insert_batch(
         np.array(narrow, dtype=np.int64)))
 
-    from repro.core.mcache import MCache
     oracle = MCache(entries=entries, ways=ways)
     position = 0
     for states, entry_ids in results:
@@ -136,7 +131,6 @@ def test_uint64_signatures_beyond_int63_stay_exact():
     states, entry_ids = cache.lookup_or_insert_batch(
         np.array(values, dtype=np.uint64))
 
-    from repro.core.mcache import MCache
     oracle = MCache(entries=8, ways=2)
     for offset, value in enumerate(values):
         state, entry_id = oracle.lookup_or_insert(value)
@@ -189,12 +183,12 @@ def test_probe_batch_is_non_mutating_across_representations():
     cache = VectorizedMCache(entries=8, ways=2)
     cache.lookup_or_insert(5)
     cache.lookup_or_insert(-5)
-    cache.simulate([])                     # leaves the cache clean
+    cache.clear()                          # leaves the cache clean
     assert cache._tag_words is None and not cache._dirty
 
     wide = ints_to_words([(1 << 70) + 3, 5, (1 << 64) - 5])
     present, entry_ids = cache.probe_batch(wide)
-    # Cache was cleared by simulate(): everything misses, nothing mutates.
+    # Cache was cleared: everything misses, nothing mutates.
     assert not present.any()
     assert cache._tag_words is None and not cache._dirty
 

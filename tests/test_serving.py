@@ -22,6 +22,7 @@ from repro.serving import (
     generate_trace,
 )
 from repro.serving.loadgen import TRAFFIC_PATTERNS, trace_summary
+from repro.serving.server import SNAPSHOT_MANIFEST, SNAPSHOT_VERSION
 
 
 # ----------------------------------------------------------------------
@@ -972,6 +973,22 @@ class TestSnapshotRestore:
                                  entries=1024, ways=8), shards=2)
         with pytest.raises(ValueError, match="policy"):
             other_policy.restore(tmp_path / "snap")
+
+    def test_restore_rejects_another_snapshot_version(self, tmp_path,
+                                                      small_pool,
+                                                      zipf_trace):
+        # A manifest of another layout version is refused outright
+        # rather than half-restored (version 2 sessions carried the
+        # data-phase counters in ``mcache_stats``).
+        donor = self._server()
+        donor.replay(zipf_trace[:24], small_pool)
+        snap = tmp_path / "snap"
+        manifest = donor.snapshot(snap)
+        assert manifest["version"] == SNAPSHOT_VERSION
+        (snap / SNAPSHOT_MANIFEST).write_text(
+            json.dumps(dict(manifest, version=SNAPSHOT_VERSION - 1)))
+        with pytest.raises(ValueError, match="snapshot version"):
+            self._server().restore(snap)
 
     def test_restore_rejects_different_weights(self, tmp_path, small_pool,
                                                zipf_trace):

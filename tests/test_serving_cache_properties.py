@@ -26,6 +26,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.session import STATE_VERSION
 from repro.serving import ServingPolicy, SignatureResultCache
 
 # Small vector pools force collisions, repeats and set conflicts.
@@ -231,3 +232,22 @@ def test_missing_eviction_metadata_fails_loudly():
     restored = SignatureResultCache(donor.policy)
     with pytest.raises((ValueError, KeyError)):
         restored.load_state_dict(meta, stripped)
+
+
+def test_snapshot_of_another_state_version_is_refused():
+    """A payload of another layout version is refused before any state
+    is touched, so its stale keys (version 2 carried ``data_reads`` and
+    ``data_writes`` in ``mcache_stats``) are never loaded back."""
+    import pytest
+
+    donor = _driven_cache("none")
+    meta, arrays = donor.state_dict()
+    assert meta["state_version"] == STATE_VERSION
+    assert set(meta["mcache_stats"]) == {"hits", "mau", "mnu", "evictions"}
+    stale = dict(meta, state_version=STATE_VERSION - 1,
+                 mcache_stats=dict(meta["mcache_stats"], data_reads=0,
+                                   data_writes=0))
+    restored = SignatureResultCache(donor.policy)
+    with pytest.raises(ValueError, match="state_version"):
+        restored.load_state_dict(stale, arrays)
+    assert restored.occupancy() == 0
