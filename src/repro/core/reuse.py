@@ -7,8 +7,10 @@ which
 1. computes (or reloads) RPQ signatures for the incoming vectors,
 2. probes a freshly-cleared MCACHE with each signature to build the
    Hitmap (HIT / MAU / MNU),
-3. executes the dot products of MAU and MNU vectors exactly and *copies*
-   the already-computed result for HIT vectors, and
+3. substitutes every HIT vector by its representative (a MAU vector)
+   and runs one GEMM, ``X' @ W``, so a HIT reuses its representative's
+   result; the accelerator skips a HIT's MACs, and the cycle model
+   charges only the MACs of MAU and MNU vectors, and
 4. records per-layer statistics that the accelerator cycle model and the
    adaptation policies consume.
 
@@ -169,9 +171,8 @@ class ReuseEngine:
 
     # ------------------------------------------------------------------
     def matmul_groups(self, vectors: np.ndarray, weights: np.ndarray,
-                      width: int, *, layer: str,
-                      phase: str = "forward") -> np.ndarray:
-        """One layer call split into column groups, returned summed.
+                      width: int, *, layer: str) -> np.ndarray:
+        """One forward layer call split into column groups, returned summed.
 
         Group ``g`` multiplies columns ``[g·width, (g+1)·width)`` of
         ``vectors`` by the same rows of ``weights`` — a conv layer's
@@ -179,18 +180,16 @@ class ReuseEngine:
         divide — each with its own signatures and its own fresh MCACHE:
         signatures never match, and never steal ways, across groups.
         The result is the ``(rows, filters)`` sum over the groups.
+        Backward calls go through :meth:`matmul`.
 
         * Detection off: one ``vectors @ weights`` GEMM — the product
           the exact engine and an engine-less layer compute, to the last
           bit.
-        * Forward, detection on: one signature call per group, one
-          multi-group classification
+        * Detection on: one signature call per group, one multi-group
+          classification
           (:func:`repro.core.hitmap_sim.simulate_hitmap_grouped`) and
-          one fused, summed ride (:meth:`ReuseSession.ride_groups`) —
-          bit for bit one :meth:`matmul` per group summed from zeros.
-        * Backward, detection on: one :meth:`matmul` per group, summed
-          from zeros, since each group may reload its signatures from
-          the table.
+          one representative-substitution ride
+          (:meth:`ReuseSession.ride_groups`): one gather and one GEMM.
 
         Statistics merge once per call with ``calls`` set to the group
         count, equal field for field to one merge per group; the
@@ -205,17 +204,10 @@ class ReuseEngine:
         call = dict(vectors=total, vector_length=tail,
                     num_filters=weights.shape[1], calls=len(starts))
 
-        if not self._detection_enabled(layer, phase):
-            self._record(layer, phase, hits=0, mau=0, mnu=total,
+        if not self._detection_enabled(layer, "forward"):
+            self._record(layer, "forward", hits=0, mau=0, mnu=total,
                          unique=total, detection_on=False, **call)
             return vectors @ weights
-        if phase != "forward":
-            result = np.zeros((num_vectors, weights.shape[1]))
-            for lo in starts:
-                result += self.matmul(vectors[:, lo:lo + width],
-                                      weights[lo:lo + width],
-                                      layer=layer, phase=phase)
-            return result
 
         # Hashing group by group keeps each projection GEMM bitwise
         # identical to the per-call path's.
@@ -227,8 +219,9 @@ class ReuseEngine:
                                           simulations)
         self.signature_table.store(layer, tail, self.signature_bits,
                                    signature_groups[-1], simulations[-1])
-        self.last_simulations[(layer, phase)] = simulations[-1]
-        self._record(layer, phase, hits=sum(s.hits for s in simulations),
+        self.last_simulations[(layer, "forward")] = simulations[-1]
+        self._record(layer, "forward",
+                     hits=sum(s.hits for s in simulations),
                      mau=sum(s.mau for s in simulations),
                      mnu=sum(s.mnu for s in simulations),
                      unique=sum(s.unique_signatures for s in simulations),

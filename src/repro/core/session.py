@@ -12,7 +12,8 @@ implementation, instantiated in one of two modes:
   :meth:`classify` call sees a freshly-cleared MCACHE, so similarity is
   exploited only *within* one batch (the paper's per-layer flush).  The
   engine drives the two phases separately — :meth:`classify` builds the
-  Hitmap, :meth:`ride` performs the compute-misses/copy-hits assembly;
+  Hitmap, :meth:`ride` substitutes every HIT row by its representative
+  and runs one GEMM;
 * **persistent** (``persistent=True``) — the serving semantics: cache
   state survives across :meth:`serve` calls, entries age by micro-batch
   (:attr:`SessionPolicy.ttl_batches`), hits may be payload-verified
@@ -56,10 +57,6 @@ from repro.core.mcache_vec import VectorizedMCache
 from repro.core.rpq import RPQHasher, unique_signatures
 
 ADMISSION_POLICIES = ("always", "frequency", "size")
-
-#: Bytes of output one :meth:`ReuseSession.ride_groups` row block spans,
-#: so the accumulator block stays cache-resident across the groups.
-RIDE_BLOCK_BYTES = 1 << 16
 
 #: Version of the :meth:`ReuseSession.state_dict` layout.  Bump when the
 #: array/meta contract changes; ``load_state_dict`` rejects mismatches.
@@ -316,93 +313,55 @@ class ReuseSession:
     @staticmethod
     def ride(vectors: np.ndarray, weights: np.ndarray,
              simulation: HitmapSimulation) -> np.ndarray:
-        """The cache-ride assembly: compute misses, copy HIT rows.
+        """The cache ride: every HIT row reuses its representative's result.
 
-        The one-group case of :meth:`ride_groups`: one ``np.take`` of
-        the miss rows, one GEMM of their shape and one row-map gather
-        that places every row — a HIT reads its representative's
-        product.
+        The one-group case of :meth:`ride_groups`: one ``np.take`` puts
+        each row's representative in its place (a MAU or MNU row is its
+        own) and one GEMM of the full shape multiplies them.
         """
         if not simulation.hits:
             return vectors @ weights
-        computed, row_map = ReuseSession._miss_products(
-            vectors, weights, vectors.shape[1], [simulation])
-        return np.take(computed, row_map[0], axis=0)
-
-    @staticmethod
-    def _miss_products(vectors, weights, width, simulations):
-        """Every group's miss-row products, and where each row finds its own.
-
-        Group ``g`` multiplies columns ``[g·width, (g+1)·width)`` of
-        ``vectors`` by the same rows of ``weights``.  Its miss rows are
-        gathered by one ``np.take`` and multiplied into a slice of one
-        ``(misses, filters)`` block: the per-call
-        ``(misses, width) @ (width, filters)`` shape, so the BLAS
-        reduction order — and every output bit — is the per-call one.
-        The returned ``(groups, rows)`` int64 map sends every row to
-        its representative's slot in that block: itself for a miss, a
-        MAU row (always computed) for a HIT.
-        """
-        num_rows = vectors.shape[0]
-        states = np.concatenate([simulation.states
-                                 for simulation in simulations])
-        miss_idx = np.flatnonzero(states != HIT_CODE)
-        starts = np.arange(len(simulations) + 1) * num_rows
-        # miss_idx ascends, so each group's misses form one contiguous
-        # segment [seg[g], seg[g+1]) of the computed block.
-        seg = np.searchsorted(miss_idx, starts)
-        computed = np.empty((len(miss_idx), weights.shape[1]),
-                            dtype=np.float64)
-        for group, lo in enumerate(range(0, vectors.shape[1], width)):
-            first, last = int(seg[group]), int(seg[group + 1])
-            if first == last:
-                continue
-            # np.take without out=: with mode="raise" numpy buffers
-            # any out= argument, an extra copy of every miss row.
-            np.matmul(np.take(vectors[:, lo:lo + width],
-                              miss_idx[first:last] - starts[group], axis=0),
-                      weights[lo:lo + width], out=computed[first:last])
-        slots = np.empty(len(states), dtype=np.int64)
-        slots[miss_idx] = np.arange(len(miss_idx))
-        sources = np.concatenate([simulation.representative
-                                  for simulation in simulations])
-        sources = sources.reshape(len(simulations), num_rows)
-        sources += starts[:-1, None]
-        return computed, np.take(slots, sources)
+        return np.take(vectors, simulation.representative, axis=0) @ weights
 
     @staticmethod
     def ride_groups(vectors: np.ndarray, weights: np.ndarray, width: int,
                     simulations) -> np.ndarray:
-        """Fused cache ride over a layer's channel groups, summed.
+        """The cache ride over a layer's channel groups, summed.
 
         Group ``g`` is ``vectors[:, g·width:(g+1)·width]`` against the
         same rows of ``weights`` (the last group may be narrower), with
         ``simulations[g]`` as its Hitmap; every group has all
-        ``len(vectors)`` rows and all ``weights.shape[1]`` filters.
-        Returns the ``(rows, filters)`` sum of the group rides, bit for
-        bit what one :meth:`ride` per group summed into a zeroed buffer
-        computes: the products come from :meth:`_miss_products`, and
-        each output element adds ``0 + r0 + r1 + …`` in group order.
-        The sum runs in cache-sized row blocks: per block, each group's
-        products are gathered into one scratch block and added, so no
-        per-group result or ``(rows·groups, filters)`` buffer is built.
+        ``len(vectors)`` rows.  Representative substitution: ``X'``
+        takes row ``r``'s group-``g`` slice from row ``rep_g(r)`` (a MAU
+        or MNU row is its own representative), and one ``X' @ weights``
+        returns the ``(rows, filters)`` sum of the group rides.  The
+        MACs a HIT skips on the accelerator are charged by the cycle
+        model only; numpy cannot skip a slice of a dot product more
+        cheaply than it computes it.
         """
-        computed, row_map = ReuseSession._miss_products(
-            vectors, weights, width, simulations)
-        num_rows, num_filters = vectors.shape[0], weights.shape[1]
-        out = np.zeros((num_rows, num_filters), dtype=np.float64)
-        block = max(RIDE_BLOCK_BYTES // (8 * max(num_filters, 1)), 1)
-        scratch = np.empty((min(block, num_rows), num_filters),
-                           dtype=np.float64)
-        for lo in range(0, num_rows, block):
-            acc = out[lo:lo + block]
-            part = scratch[:len(acc)]
-            for group_map in row_map[:, lo:lo + block]:
-                # mode="clip" lets np.take write into ``part`` unbuffered;
-                # every index is in range, so it clips nothing.
-                np.take(computed, group_map, axis=0, out=part, mode="clip")
-                acc += part
-        return out
+        if not any(simulation.hits for simulation in simulations):
+            return vectors @ weights
+        rows, length = vectors.shape
+        full = length // width          # groups with all ``width`` columns
+        head = full * width
+        # Row r's group-g slice sits at row r·full + g of the
+        # (rows·full, width) view, so one flat take gathers every slice
+        # (the view is a copy only when a ragged group follows).
+        index = np.empty((rows, full), dtype=np.int64)
+        for group, simulation in enumerate(simulations[:full]):
+            index[:, group] = simulation.representative
+        index *= full
+        index += np.arange(full)
+        gathered = np.take(vectors[:, :head].reshape(rows * full, width),
+                           index.reshape(-1), axis=0)
+        if head == length:
+            return gathered.reshape(rows, length) @ weights
+        substituted = np.empty_like(vectors)
+        substituted[:, :head] = gathered.reshape(rows, head)
+        substituted[:, head:] = np.take(vectors[:, head:],
+                                        simulations[full].representative,
+                                        axis=0)
+        return substituted @ weights
 
     # ------------------------------------------------------------------
     # Persistent phase — the serving caches

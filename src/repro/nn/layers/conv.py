@@ -115,8 +115,7 @@ class Conv2D(Module):
         width = group * self.kernel_size * self.kernel_size
         if hasattr(self.engine, "matmul_groups"):
             return self.engine.matmul_groups(cols, weight_matrix, width,
-                                             layer=self.layer_name,
-                                             phase="forward")
+                                             layer=self.layer_name)
         out = np.zeros((cols.shape[0], self.out_channels), dtype=np.float64)
         for lo in range(0, cols.shape[1], width):
             out += self.engine.matmul(cols[:, lo:lo + width],

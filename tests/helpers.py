@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import MercuryConfig
-from repro.core.hitmap import HIT_CODE
 from repro.core.hitmap_sim import HitmapSimulation
 from repro.core.reuse import ReuseEngine
 from repro.core.session import ReuseSession
@@ -43,39 +42,44 @@ def relative_error(a: np.ndarray, b: np.ndarray) -> float:
 # ----------------------------------------------------------------------
 # Reuse-engine oracles
 # ----------------------------------------------------------------------
-def masked_ride(vectors: np.ndarray, weights: np.ndarray,
-                simulation: HitmapSimulation) -> np.ndarray:
-    """The boolean-mask oracle for :meth:`ReuseSession.ride`."""
-    if not simulation.hits:
-        return vectors @ weights
-    hit_mask = simulation.states == HIT_CODE
-    compute_mask = ~hit_mask
-    result = np.empty((len(vectors), weights.shape[1]), dtype=np.float64)
-    result[compute_mask] = vectors[compute_mask] @ weights
-    result[hit_mask] = result[simulation.representative[hit_mask]]
-    return result
-
-
-def masked_ride_groups(vectors: np.ndarray, weights: np.ndarray, width: int,
-                       simulations) -> np.ndarray:
-    """The oracle for :meth:`ReuseSession.ride_groups`: one masked ride
-    per column group, summed from zeros in group order."""
-    out = np.zeros((len(vectors), weights.shape[1]), dtype=np.float64)
+def substituted_vectors(vectors: np.ndarray, width: int,
+                        simulations) -> np.ndarray:
+    """``X'`` built by a loop: row ``r``'s group-``g`` slice is copied
+    from row ``rep_g(r)``, the representative ``simulations[g]`` names
+    (a MAU or MNU row names itself)."""
+    substituted = np.empty(vectors.shape, dtype=np.float64)
     for lo, simulation in zip(range(0, vectors.shape[1], width),
                               simulations):
-        out += masked_ride(vectors[:, lo:lo + width],
-                           weights[lo:lo + width], simulation)
-    return out
+        for row, source in enumerate(simulation.representative):
+            substituted[row, lo:lo + width] = vectors[source, lo:lo + width]
+    return substituted
 
 
-class MaskedSession(ReuseSession):
-    """Flash session whose rides run on the boolean-mask oracle."""
+def substituted_ride_groups(vectors: np.ndarray, weights: np.ndarray,
+                            width: int, simulations) -> np.ndarray:
+    """The oracle for :meth:`ReuseSession.ride_groups`: the loop-built
+    ``X'`` times ``weights`` in one GEMM (the plain product when no
+    group has a HIT)."""
+    if not any(simulation.hits for simulation in simulations):
+        return vectors @ weights
+    return substituted_vectors(vectors, width, simulations) @ weights
 
-    ride = staticmethod(masked_ride)
+
+def substituted_ride(vectors: np.ndarray, weights: np.ndarray,
+                     simulation: HitmapSimulation) -> np.ndarray:
+    """The oracle for :meth:`ReuseSession.ride`: the one-group case."""
+    return substituted_ride_groups(vectors, weights, vectors.shape[1],
+                                   [simulation])
 
 
-class ScalarSession(MaskedSession):
-    """Masked session whose Hitmaps come from the line-level scalar MCACHE."""
+class SubstitutedSession(ReuseSession):
+    """Flash session whose rides run on the loop-built oracle."""
+
+    ride = staticmethod(substituted_ride)
+
+
+class ScalarSession(SubstitutedSession):
+    """Oracle session whose Hitmaps come from the line-level scalar MCACHE."""
 
     def classify(self, signatures) -> HitmapSimulation:
         self.clears += 1
@@ -87,14 +91,15 @@ class ScalarSession(MaskedSession):
 class PerCallEngine(ReuseEngine):
     """The per-call oracle for :meth:`ReuseEngine.matmul_groups`.
 
-    Services every column group with its own :meth:`matmul` call — its
-    own hash, fresh-MCACHE classification and masked ride — summed from
-    zeros, which the layer-granular call must reproduce bit for bit.
-    With detection off the groups still record one call each, but the
-    product is the one exact GEMM.
+    Services every column group on its own — its own hash, its own
+    fresh-MCACHE :meth:`~ReuseSession.classify` and its own statistics
+    merge — then multiplies the loop-built ``X'`` in one GEMM, which the
+    layer-granular call must reproduce bit for bit.  With detection off
+    the groups still record one call each, but the product is the one
+    exact GEMM.
     """
 
-    session_class = MaskedSession
+    session_class = SubstitutedSession
 
     def __init__(self, config: MercuryConfig | None = None):
         super().__init__(config)
@@ -102,15 +107,33 @@ class PerCallEngine(ReuseEngine):
             self.session.policy, hasher=self.hasher, persistent=False)
         self.mcache = self.session.mcache
 
-    def matmul_groups(self, vectors, weights, width, *, layer: str,
-                      phase: str = "forward") -> np.ndarray:
-        detection_on = self._detection_enabled(layer, phase)
-        out = np.zeros((len(vectors), weights.shape[1]), dtype=np.float64)
+    def matmul_groups(self, vectors, weights, width, *,
+                      layer: str) -> np.ndarray:
+        vectors, weights = self._operands(vectors, weights)
+        detection_on = self._detection_enabled(layer, "forward")
+        simulations = []
         for lo in range(0, vectors.shape[1], width):
-            out += self.matmul(vectors[:, lo:lo + width],
-                               weights[lo:lo + width], layer=layer,
-                               phase=phase)
-        return out if detection_on else vectors @ weights
+            group = vectors[:, lo:lo + width]
+            rows, length = group.shape
+            call = dict(vectors=rows, vector_length=length,
+                        num_filters=weights.shape[1])
+            if not detection_on:
+                self._record(layer, "forward", hits=0, mau=0, mnu=rows,
+                             unique=rows, detection_on=False, **call)
+                continue
+            signatures = self.hasher.signatures(group, self.signature_bits)
+            simulation = self.session.classify(signatures)
+            self.signature_table.store(layer, length, self.signature_bits,
+                                       signatures, simulation)
+            self.last_simulations[(layer, "forward")] = simulation
+            self._record(layer, "forward", hits=simulation.hits,
+                         mau=simulation.mau, mnu=simulation.mnu,
+                         unique=simulation.unique_signatures,
+                         detection_on=True, **call)
+            simulations.append(simulation)
+        if not detection_on:
+            return vectors @ weights
+        return substituted_ride_groups(vectors, weights, width, simulations)
 
 
 class ScalarOracleEngine(PerCallEngine):

@@ -12,10 +12,11 @@ These suites pin the coded representation to that oracle:
 * the serving probe paths (``_probe_and_admit`` with the frequency gate,
   ``_probe_and_admit_evicting`` with a replacement policy) emit int8
   codes whose semantics match a scalar mirror replay;
-* the fused, summed ``ride_groups`` is bit-identical to the per-group
-  masked ride oracle summed from zeros, directly and engine-to-engine
-  (``tests.helpers.masked_ride_groups`` swapped in for the oracle run),
-  and the take-based ``ride`` to the masked ``ride`` it replaced;
+* the representative-substitution ``ride_groups`` is bit-identical to
+  the oracle that builds ``X'`` by a loop and runs one GEMM, directly
+  and engine-to-engine (``tests.helpers.substituted_ride_groups``
+  swapped in for the oracle run), and the take-based ``ride`` to its
+  one-group case;
 * ``words_to_ints`` (the exact-Python-int expansion) never runs on the
   engine path — only the scalar/differential oracle may call it;
 * ``_prune_seen``'s argpartition selection matches the old
@@ -28,8 +29,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from repro.core import session as session_module
 from repro.core.config import MercuryConfig
 from repro.core.hitmap import CODE_TO_STATE, HIT_CODE, MAU_CODE, MNU_CODE
 from repro.core.hitmap_sim import simulate_hitmap, simulate_hitmap_grouped
@@ -37,7 +38,8 @@ from repro.core.reuse import ReuseEngine
 from repro.core.rpq import ints_to_words, unique_signatures
 from repro.core.session import ReuseSession, SessionPolicy
 from repro.nn.layers.conv import Conv2D
-from tests.helpers import masked_ride, masked_ride_groups
+from tests.helpers import (substituted_ride, substituted_ride_groups,
+                           substituted_vectors)
 from tests.oracles import MCache, scalar_reference_simulation
 
 
@@ -185,7 +187,7 @@ class TestProbePathCodes:
 
 
 # ---------------------------------------------------------------------------
-# Fused gather->GEMM->scatter cache ride
+# Representative-substitution cache ride
 # ---------------------------------------------------------------------------
 class TestFusedRide:
     @given(st.integers(0, 2 ** 31), st.integers(1, 5),
@@ -202,43 +204,84 @@ class TestFusedRide:
         sims = simulate_hitmap_grouped(np.concatenate(traces),
                                        [rows] * num_groups,
                                        num_sets=4, ways=2)
-        fused = ReuseSession.ride_groups(vectors, weights, 5, sims)
+        ride = ReuseSession.ride_groups(vectors, weights, 5, sims)
         np.testing.assert_array_equal(
-            fused, masked_ride_groups(vectors, weights, 5, sims))
-        # The one-group ride is the same take-based assembly.
+            ride, substituted_ride_groups(vectors, weights, 5, sims))
+        # The one-group ride is the same substitution.
         np.testing.assert_array_equal(
             ReuseSession.ride(vectors[:, :5], weights[:5], sims[0]),
-            masked_ride(vectors[:, :5], weights[:5], sims[0]))
+            substituted_ride(vectors[:, :5], weights[:5], sims[0]))
 
     def test_ride_groups_all_hit_and_no_hit_groups(self, rng):
         # One group with zero hits, one fully redundant after its first
-        # row — the degenerate fills of the gather/scatter bookkeeping.
+        # row — the degenerate fills of the gather index.
         vectors = rng.normal(size=(4, 6))
         weights = rng.normal(size=(6, 2))
         traces = [np.arange(4) * 7, np.full(4, 9)]
         sims = simulate_hitmap_grouped(np.concatenate(traces), [4, 4],
                                        num_sets=4, ways=2)
-        fused = ReuseSession.ride_groups(vectors, weights, 3, sims)
+        ride = ReuseSession.ride_groups(vectors, weights, 3, sims)
         np.testing.assert_array_equal(
-            fused, masked_ride_groups(vectors, weights, 3, sims))
+            ride, substituted_ride_groups(vectors, weights, 3, sims))
 
-    def test_ride_groups_spans_row_blocks(self, rng, monkeypatch):
-        """Sums that cross row-block boundaries, ragged last block too."""
-        monkeypatch.setattr(session_module, "RIDE_BLOCK_BYTES", 8 * 3 * 7)
-        vectors = rng.normal(size=(50, 11))
-        weights = rng.normal(size=(11, 3))
-        traces = [rng.integers(0, 6, size=50) for _ in range(3)]
-        sims = simulate_hitmap_grouped(np.concatenate(traces), [50] * 3,
+    @given(st.data())
+    @settings(deadline=None)
+    def test_ride_groups_substitutes_representatives(self, data):
+        """Reuse semantics without BLAS: against the identity, the ride
+        returns the loop-built ``X'`` bit for bit, so every HIT
+        ``(row, group)`` slice is its representative's slice."""
+        num_groups = data.draw(st.integers(1, 5), label="groups")
+        width = data.draw(st.integers(1, 6), label="width")
+        tail = data.draw(st.integers(1, width), label="tail")
+        rows = data.draw(st.integers(1, 30), label="rows")
+        length = width * (num_groups - 1) + tail
+        # Finite values; adding +0.0 turns every -0.0 into +0.0, the one
+        # value a sum with the identity's zero products does not keep.
+        vectors = data.draw(arrays(
+            np.float64, (rows, length),
+            elements=st.floats(allow_nan=False, allow_infinity=False)),
+            label="vectors") + 0.0
+        kinds = data.draw(st.lists(
+            st.sampled_from(["pool", "all_hit", "all_miss"]),
+            min_size=num_groups, max_size=num_groups), label="kinds")
+        wide = data.draw(st.booleans(), label="wide")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 31),
+                                              label="seed"))
+        traces = []
+        for kind in kinds:
+            if kind == "all_hit":     # one MAU, every later row a HIT
+                traces.append(np.full(rows, rng.integers(0, 1 << 16)))
+            elif kind == "all_miss":  # distinct: MAU or MNU, never HIT
+                traces.append(rng.permutation(1 << 16)[:rows])
+            else:
+                traces.append(rng.choice(rng.integers(0, 1 << 16, size=4),
+                                         size=rows))
+        signatures = np.concatenate(traces)
+        if wide:                      # >62 bits: multi-word rows
+            signatures = ints_to_words(
+                np.array([(1 << 70) + int(v) for v in signatures],
+                         dtype=object), num_words=2)
+        sims = simulate_hitmap_grouped(signatures, [rows] * num_groups,
                                        num_sets=4, ways=2)
-        np.testing.assert_array_equal(
-            ReuseSession.ride_groups(vectors, weights, 4, sims),
-            masked_ride_groups(vectors, weights, 4, sims))
+        ride = ReuseSession.ride_groups(vectors, np.eye(length), width, sims)
+        assert ride.tobytes() == \
+            substituted_vectors(vectors, width, sims).tobytes()
+        for group, sim in enumerate(sims):
+            cols = slice(group * width, (group + 1) * width)
+            hit_rows = np.flatnonzero(sim.states == HIT_CODE)
+            sources = sim.representative[hit_rows]
+            assert (sim.states[sources] == MAU_CODE).all()
+            np.testing.assert_array_equal(ride[hit_rows, cols],
+                                          vectors[sources, cols])
+            others = np.flatnonzero(sim.states != HIT_CODE)
+            np.testing.assert_array_equal(ride[others, cols],
+                                          vectors[others, cols])
 
     @pytest.mark.parametrize("channel_group,in_channels",
                              [(1, 6), (2, 6), (3, 7)])
     def test_engine_fused_flag_bit_identity(self, rng, monkeypatch,
                                             channel_group, in_channels):
-        """The engine's fused ride equals the per-group masked oracle."""
+        """The engine's ride equals the loop-built substitution oracle."""
         config = MercuryConfig(adaptive_signature_length=False,
                                adaptive_stoppage=False,
                                conv_channel_group=channel_group,
@@ -249,7 +292,7 @@ class TestFusedRide:
             with monkeypatch.context() as patch:
                 if not fused:
                     patch.setattr(ReuseSession, "ride_groups",
-                                  staticmethod(masked_ride_groups))
+                                  staticmethod(substituted_ride_groups))
                 engine = ReuseEngine(config)
                 conv = Conv2D(in_channels, 5, 3, padding=1, seed=11)
                 conv.engine = engine
@@ -295,7 +338,7 @@ class TestWordsToInts:
                                persistent=False)
         sim = session.classify(words)
         assert sim.states.dtype == np.int8
-        # ... and a full >62-bit engine matmul, fused ride included.
+        # ... and a full >62-bit engine matmul, ride included.
         engine = ReuseEngine(MercuryConfig(
             signature_bits=70, max_signature_bits=80,
             adaptive_signature_length=False, adaptive_stoppage=False,

@@ -1,11 +1,11 @@
 """Bit-identity of the batched multi-group channel path.
 
 The reuse engine services `conv_channel_group` calls as one multi-group
-signature/group-by phase (`ReuseEngine.matmul_groups`).  The oracle is
-one engine call per group (the seed behaviour, kept as
-``tests.helpers.PerCallEngine``).  These tests assert the two are
-bit-identical: outputs, per-layer statistics, signature-table state and
-MCACHE counters.
+signature/group-by phase (`ReuseEngine.matmul_groups`).  The oracle,
+``tests.helpers.PerCallEngine``, hashes and classifies each group on its
+own (the seed behaviour) and multiplies a loop-built ``X'`` in one GEMM.
+These tests assert the two are bit-identical: outputs, per-layer
+statistics, signature-table state and MCACHE counters.
 """
 
 from __future__ import annotations
@@ -274,23 +274,25 @@ def test_full_model_training_step_bit_identity(rng):
     assert results[False][3] == results[True][3]
 
 
-def test_matmul_groups_backward_falls_back(rng):
-    """Backward-phase group calls delegate to the per-call path."""
+def test_conv_backward_goes_through_matmul(rng, monkeypatch):
+    """``matmul_groups`` serves the forward phase only: a grouped conv's
+    backward step reaches the engine through one ``matmul`` call."""
     engine = ReuseEngine(MercuryConfig(adaptive_signature_length=False,
-                                       adaptive_stoppage=False))
-    vectors = rng.normal(size=(6, 10))
-    weights = rng.normal(size=(10, 3))
-    grouped = engine.matmul_groups(vectors, weights, 5, layer="L",
-                                   phase="backward")
-    reference = ReuseEngine(MercuryConfig(adaptive_signature_length=False,
-                                          adaptive_stoppage=False))
-    summed = np.zeros((6, 3))
-    for lo in (0, 5):
-        summed += reference.matmul(vectors[:, lo:lo + 5],
-                                   weights[lo:lo + 5], layer="L",
-                                   phase="backward")
-    np.testing.assert_array_equal(grouped, summed)
-    assert _stats_snapshot(engine) == _stats_snapshot(reference)
+                                       adaptive_stoppage=False,
+                                       conv_channel_group=1))
+    calls = []
+    for name in ("matmul", "matmul_groups"):
+        def record(*args, _name=name, _original=getattr(engine, name),
+                   **kwargs):
+            calls.append((_name, kwargs.get("phase")))
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(engine, name, record)
+    conv = Conv2D(4, 3, 3, padding=1, seed=2)
+    conv.engine = engine
+    out = conv.forward(rng.normal(size=(2, 4, 6, 6)))
+    conv.backward(np.ones_like(out))
+    assert calls == [("matmul_groups", None), ("matmul", "backward")]
+    assert engine.stats.get(conv.layer_name, "backward").calls == 1
 
 
 def test_flash_clears_count_one_per_fresh_mcache(rng):

@@ -125,7 +125,7 @@ def test_check_floors_gates_train_step():
 
 
 def test_check_floors_gates_cache_ride():
-    # The fused gather->GEMM->scatter ride must beat the per-group
+    # The representative-substitution ride must beat the per-group
     # masked assembly; its floor is independent of the global one.
     payload = floors_payload(dict(GOOD, cache_ride=1.02))
     failures = check_floors(payload, floor=1.5)
