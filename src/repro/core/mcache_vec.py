@@ -6,10 +6,11 @@ over the ``(set, way)`` grid and services a whole batch of probes with
 sort-based group-by operations, the same technique as
 :func:`repro.core.hitmap_sim.simulate_hitmap` but against *persistent*
 cache state.  It stores tags only: the paper's per-line result data
-(Valid-Data bits, one version per in-flight filter) is held elsewhere —
-by the ride's row map in training and by
-:class:`~repro.core.session.ReuseSession`'s dense result store in
-serving.
+(Valid-Data bits, one version per in-flight filter) is held elsewhere.
+Training needs none, because the ride substitutes each HIT's input by
+its representative's, so one GEMM reproduces the reused result; serving
+keeps results in :class:`~repro.core.session.ReuseSession`'s dense
+result store.
 
 The line-level scalar model in ``tests/oracles.py`` is the oracle:
 ``tests/test_mcache_differential.py`` replays randomized traces through
